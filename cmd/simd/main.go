@@ -48,7 +48,7 @@
 //
 //	-model dining|election  -n SIZE  -policy NAME  -estimator reachprob|timetotarget
 //	-within T  -trials N  -seed S  -max-events N  -max-time T
-//	-bitcompat  -quarantine N
+//	-quarantine N
 package main
 
 import (
@@ -126,7 +126,6 @@ func jobFlags(fs *flag.FlagSet) func() fabric.JobSpec {
 	seed := fs.Int64("seed", 1, "root seed (per-trial streams derive from it; results are identical for any worker topology)")
 	maxEvents := fs.Int("max-events", 0, "per-trial event cap (0 = engine default)")
 	maxTime := fs.Float64("max-time", 0, "per-trial simulated-time cap (0 = engine default)")
-	bitcompat := fs.Bool("bitcompat", false, "sample compiled moves with the cumulative scan (bit-identical to an uncompiled run)")
 	quarantine := fs.Int("quarantine", 0, "panicking trials tolerated per range before aborting")
 	return func() fabric.JobSpec {
 		return fabric.JobSpec{
@@ -139,7 +138,6 @@ func jobFlags(fs *flag.FlagSet) func() fabric.JobSpec {
 			Seed:      *seed,
 			MaxEvents: *maxEvents,
 			MaxTime:   *maxTime,
-			BitCompat: *bitcompat,
 			MaxPanics: *quarantine,
 		}
 	}

@@ -137,6 +137,26 @@ func TestSimdLocal(t *testing.T) {
 	}
 }
 
+// TestSimdLocalRejectsNaN: a NaN deadline or time cap would compare
+// false against every step time and print P = 0; simd must exit
+// non-zero instead, with nothing on stdout.
+func TestSimdLocalRejectsNaN(t *testing.T) {
+	for _, bad := range [][]string{{"-max-time", "NaN"}, {"-within", "NaN"}} {
+		args := append([]string{"local", "-model", "dining", "-n", "3", "-trials", "128"}, bad...)
+		stdout, stderr, err := runCLI(t, args...)
+		if err == nil {
+			t.Errorf("simd %v exited 0; stdout %q", args, stdout)
+			continue
+		}
+		if stdout != "" {
+			t.Errorf("simd %v printed %q on stdout", args, stdout)
+		}
+		if !strings.Contains(stderr, "NaN") {
+			t.Errorf("simd %v stderr %q does not name the NaN", args, stderr)
+		}
+	}
+}
+
 // TestSimdWorkerKillRecovery is the PR's acceptance test: a coordinator
 // and three workers over loopback, one worker SIGKILLed while it holds
 // an unreported lease; the lease expires, its chunks are reassigned to

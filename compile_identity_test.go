@@ -1,24 +1,16 @@
 // Compiled-vs-direct identity across the three case studies. The
 // compiled-model layer (sim.Compile, on by default in every parallel
-// entry point) must be a pure performance change, but the contract has
-// two halves:
-//
-//   - Bit compatibility. With Options.BitCompat the compiled engine
-//     samples through the same cumulative scan as the uncompiled one,
-//     so estimates are DeepEqual to the direct engine's for every
-//     model, seed and worker count — with and without packed state
-//     interning and trial arenas, and through the checkpoint/resume
-//     path.
-//
-//   - Distribution. The alias-table default consumes the same one
-//     uniform per draw but maps it to successors through Walker
-//     columns, so it agrees with the direct engine in distribution,
-//     not bit for bit. That half is pinned statistically against the
-//     exact checker (internal/mdp) on a small instance.
+// entry point) must be a pure performance change: its frozen-scan
+// samplers replay Dist.Pick draw for draw, so estimates are DeepEqual to
+// the direct engine's for every model, seed and worker count — with and
+// without packed state interning, on per-worker arenas and on the
+// watchdog's fresh-scratch path, and through checkpoint/resume.
 //
 // The in-package half of these properties (hand-built models, user
-// moves, RunOnce) lives in internal/sim; the CLI tests additionally
-// assert byte-identical -bitcompat vs -nocompile output.
+// moves, a skewed coin, RunOnce) lives in internal/sim; the CLI tests
+// additionally assert byte-identical default vs -nocompile output.
+// TestSampledMatchesExact cross-checks the sampled numbers against the
+// exact checker.
 package timedpa_test
 
 import (
@@ -26,6 +18,7 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/consensus"
 	"repro/internal/dining"
@@ -42,21 +35,22 @@ var identityWorkers = []int{1, 2, 8}
 
 // engineConfig is one engine configuration under test. The first entry
 // is the uncompiled reference; every other entry must reproduce its
-// results bit for bit. The alias default is deliberately absent here —
-// its (statistical) identity is TestAliasDefaultMatchesExact.
+// results bit for bit.
 type engineConfig struct {
 	name      string
 	noCompile bool
-	bitCompat bool
-	noArena   bool
 	unpacked  bool
+	// watchdog arms TrialTimeout (far above any trial's run time), which
+	// gives each trial a fresh scratch and RNG instead of the worker's
+	// arena.
+	watchdog bool
 }
 
 var engineConfigs = []engineConfig{
 	{name: "direct", noCompile: true},
-	{name: "bitcompat", bitCompat: true},
-	{name: "bitcompat-noarena", bitCompat: true, noArena: true},
-	{name: "bitcompat-unpacked", bitCompat: true, unpacked: true},
+	{name: "default"},
+	{name: "unpacked", unpacked: true},
+	{name: "watchdog", watchdog: true},
 }
 
 // unpackedModel hides a model's sched.Packer implementation so the
@@ -84,10 +78,11 @@ func runConfigs[S comparable, T any](t *testing.T, model sched.Model[S], opts si
 		if cfg.unpacked {
 			m = unpackedModel[S]{m: model}
 		}
-		o := opts
-		o.BitCompat = cfg.bitCompat
-		popts := sim.ParallelOptions{Seed: seed, Workers: workers, NoCompile: cfg.noCompile, NoArena: cfg.noArena}
-		got, rep, err := run(m, o, popts)
+		popts := sim.ParallelOptions{Seed: seed, Workers: workers, NoCompile: cfg.noCompile}
+		if cfg.watchdog {
+			popts.TrialTimeout = time.Minute
+		}
+		got, rep, err := run(m, opts, popts)
 		if err != nil {
 			t.Fatalf("%s seed=%d workers=%d: %v", cfg.name, seed, workers, err)
 		}
@@ -158,72 +153,54 @@ func TestCompiledIdentityConsensus(t *testing.T) {
 }
 
 // TestCompiledIdentityResume drives the checkpoint/resume path on a real
-// model, once per contract half: a BitCompat run interrupted mid-flight
-// and resumed must equal the direct engine's uninterrupted run bit for
-// bit, and an alias-default run interrupted the same way must equal its
-// own uninterrupted run (resume must not disturb the trial streams under
-// either sampler).
+// model: a compiled run interrupted mid-flight and resumed must equal
+// the direct engine's uninterrupted run bit for bit.
 func TestCompiledIdentityResume(t *testing.T) {
 	const n, trials = 4, 640
 	model := dining.MustNew(n)
 	mk := func() sim.Policy[dining.State] { return dining.KeepTrying(sim.Random[dining.State](0.5)) }
+	opts := sim.Options[dining.State]{Start: dining.AllAt(n, dining.F), SetStart: true}
 
-	uninterrupted := func(opts sim.Options[dining.State], popts sim.ParallelOptions) stats.Proportion {
-		t.Helper()
-		got, _, err := sim.EstimateReachProbParallel[dining.State](context.Background(), model, mk, dining.InC, 13, trials, opts, popts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return got
-	}
-	// interrupted cancels a compiled run at its third checkpoint chunk,
-	// then resumes from the checkpoint with a different worker count.
-	interrupted := func(opts sim.Options[dining.State]) stats.Proportion {
-		t.Helper()
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		chunks := 0
-		popts := sim.ParallelOptions{
-			Seed: 5, Workers: 2,
-			CheckpointSink: func(*sim.Checkpoint) error {
-				if chunks++; chunks == 3 {
-					cancel()
-				}
-				return nil
-			},
-		}
-		_, rep, err := sim.EstimateReachProbParallel[dining.State](ctx, model, mk, dining.InC, 13, trials, opts, popts)
-		if !errors.Is(err, sim.ErrInterrupted) {
-			t.Fatalf("err = %v, want ErrInterrupted", err)
-		}
-		got, rep2, err := sim.EstimateReachProbParallel[dining.State](context.Background(), model, mk, dining.InC, 13, trials, opts,
-			sim.ParallelOptions{Seed: 5, Workers: 8, Resume: rep.Checkpoint})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep2.Resumed != rep.Completed || rep2.Completed != trials {
-			t.Fatalf("resume accounting: %v then %v", rep, rep2)
-		}
-		return got
+	want, _, err := sim.EstimateReachProbParallel[dining.State](context.Background(), model, mk, dining.InC, 13, trials, opts,
+		sim.ParallelOptions{Seed: 5, NoCompile: true})
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	base := sim.Options[dining.State]{Start: dining.AllAt(n, dining.F), SetStart: true}
-	compat := base
-	compat.BitCompat = true
-
-	want := uninterrupted(base, sim.ParallelOptions{Seed: 5, NoCompile: true})
-	if got := interrupted(compat); got != want {
-		t.Errorf("bitcompat interrupt+resume %+v != direct uninterrupted %+v", got, want)
+	// Cancel a compiled run at its third checkpoint chunk, then resume
+	// from the checkpoint with a different worker count.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	chunks := 0
+	popts := sim.ParallelOptions{
+		Seed: 5, Workers: 2,
+		CheckpointSink: func(*sim.Checkpoint) error {
+			if chunks++; chunks == 3 {
+				cancel()
+			}
+			return nil
+		},
 	}
-	aliasWant := uninterrupted(base, sim.ParallelOptions{Seed: 5})
-	if got := interrupted(base); got != aliasWant {
-		t.Errorf("alias interrupt+resume %+v != alias uninterrupted %+v", got, aliasWant)
+	_, rep, err := sim.EstimateReachProbParallel[dining.State](ctx, model, mk, dining.InC, 13, trials, opts, popts)
+	if !errors.Is(err, sim.ErrInterrupted) {
+		t.Fatalf("err = %v, want ErrInterrupted", err)
+	}
+	got, rep2, err := sim.EstimateReachProbParallel[dining.State](context.Background(), model, mk, dining.InC, 13, trials, opts,
+		sim.ParallelOptions{Seed: 5, Workers: 8, Resume: rep.Checkpoint})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep2.Resumed != rep.Completed || rep2.Completed != trials {
+		t.Fatalf("resume accounting: %v then %v", rep, rep2)
+	}
+	if got != want {
+		t.Errorf("compiled interrupt+resume %+v != direct uninterrupted %+v", got, want)
 	}
 }
 
-// TestAliasDefaultMatchesExact pins the statistical half of the compiled
-// contract: the alias-table default must reproduce the exact checker's
-// answers. The oracle is the digitized product of the 3-process election
+// TestSampledMatchesExact is the sampled-vs-exact cross-check: the
+// default engine's Monte Carlo estimates must reproduce the exact
+// checker's answers. The oracle is the digitized product of the 3-process election
 // protocol (internal/mdp): under the Slowest policy — the digitized
 // worst case, stepping exactly at each unit-time deadline — the dense
 // simulator realizes the MDP's minimizing adversary, so at even
@@ -233,7 +210,7 @@ func TestCompiledIdentityResume(t *testing.T) {
 // merged and the pooled Wilson interval (z=3) must cover the exact
 // value — merging keeps the test deterministic while damping the
 // per-seed wiggle of a 4000-trial sample.
-func TestAliasDefaultMatchesExact(t *testing.T) {
+func TestSampledMatchesExact(t *testing.T) {
 	const n, trials = 3, 4000
 	auto, err := sched.Product[election.State](election.MustNew(n), sched.Config{StepsPerWindow: 1})
 	if err != nil {
@@ -275,7 +252,7 @@ func TestAliasDefaultMatchesExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		if lo > exact || hi < exact {
-			t.Errorf("H=%d: alias estimate interval [%g, %g] excludes exact %g", horizon, lo, hi, exact)
+			t.Errorf("H=%d: sampled estimate interval [%g, %g] excludes exact %g", horizon, lo, hi, exact)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package election
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -20,10 +21,9 @@ func TestElectionUnderSimulation(t *testing.T) {
 		}
 		boundF := bound.Float64()
 
-		rng := rand.New(rand.NewSource(int64(n)))
-		sum, err := sim.EstimateTimeToTarget[State](model,
+		sum, _, err := sim.EstimateTimeToTargetParallel[State](context.Background(), model,
 			func() sim.Policy[State] { return sim.Slowest[State]() },
-			State.HasLeader, 300, sim.Options[State]{}, rng)
+			State.HasLeader, 300, sim.Options[State]{}, sim.ParallelOptions{Workers: 1, Seed: int64(n)})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}

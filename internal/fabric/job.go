@@ -11,6 +11,7 @@ package fabric
 import (
 	"context"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -68,9 +69,12 @@ func NewRunner(spec JobSpec) (Runner, error) {
 	if spec.MaxPanics < 0 {
 		return nil, fmt.Errorf("fabric: job max_panics must be >= 0, got %d", spec.MaxPanics)
 	}
+	if math.IsNaN(spec.MaxTime) {
+		return nil, fmt.Errorf("fabric: job max_time must be a number, got NaN")
+	}
 	switch spec.Estimator {
 	case EstimatorReachProb:
-		if spec.Within <= 0 {
+		if !(spec.Within > 0) {
 			return nil, fmt.Errorf("fabric: estimator %q needs a positive within deadline, got %g", spec.Estimator, spec.Within)
 		}
 	case EstimatorTimeToTarget:
@@ -109,7 +113,6 @@ func newDiningRunner(spec JobSpec) (Runner, error) {
 			SetStart:  true,
 			MaxEvents: spec.MaxEvents,
 			MaxTime:   spec.MaxTime,
-			BitCompat: spec.BitCompat,
 		},
 	}, nil
 }
@@ -161,7 +164,6 @@ func newElectionRunner(spec JobSpec) (Runner, error) {
 		opts: sim.Options[election.State]{
 			MaxEvents: spec.MaxEvents,
 			MaxTime:   spec.MaxTime,
-			BitCompat: spec.BitCompat,
 		},
 	}, nil
 }

@@ -3,8 +3,9 @@ package prob
 // Frozen is a pre-resolved sampler for a Dist: the cumulative float64
 // weights are computed once, at freeze time, so each draw costs a short
 // scan over a float slice — no big.Rat arithmetic and no map lookups.
-// It exists for the Monte Carlo hot path (internal/sim's compiled-model
-// layer), where the same distribution is sampled thousands of times.
+// It is the sampler of the Monte Carlo hot path (internal/sim's
+// compiled-model layer), where the same distribution is sampled
+// millions of times.
 //
 // Pick is bit-identical to Dist.Pick for every r in [0, 1): the
 // cumulative weights are the exact same weight[v].Float64() values,
@@ -45,7 +46,12 @@ func (f Frozen[T]) Len() int { return len(f.support) }
 // Pick selects an outcome using r, a number in [0, 1). It returns
 // exactly what Dist.Pick on the original distribution returns for the
 // same r, and panics on an empty sampler just as Dist.Pick does.
-func (f Frozen[T]) Pick(r float64) T {
+func (f Frozen[T]) Pick(r float64) T { return f.support[f.PickIndex(r)] }
+
+// PickIndex is Pick returning the support index of the outcome instead
+// of the outcome itself, for callers that keep side tables parallel to
+// the support (At recovers the outcome). Same r, same draw as Pick.
+func (f Frozen[T]) PickIndex(r float64) int {
 	n := len(f.support)
 	if n == 0 {
 		panic("prob: Pick on empty distribution")
@@ -53,12 +59,15 @@ func (f Frozen[T]) Pick(r float64) T {
 	if n == 1 {
 		// Dist.Pick returns the sole support element whether or not
 		// r < weight: it is both the first hit and the fallback.
-		return f.support[0]
+		return 0
 	}
 	for i, c := range f.cum {
 		if r < c {
-			return f.support[i]
+			return i
 		}
 	}
-	return f.support[n-1]
+	return n - 1
 }
+
+// At returns the i-th support element, in the order PickIndex indexes.
+func (f Frozen[T]) At(i int) T { return f.support[i] }

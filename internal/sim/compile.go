@@ -13,14 +13,10 @@ package sim
 //     run. A cheap purity spot-check guards the contract: a model whose
 //     repeated queries disagree is passed through uncompiled.
 //
-//   - Each step's successor distribution is pre-resolved into two
-//     samplers: a Walker alias table (prob.Alias; the default — O(1) per
-//     draw) and a cumulative-float64 scan (prob.Frozen; selected by
-//     Options.BitCompat — O(n) per draw, but replaying Dist.Pick's exact
-//     accumulation so seeded runs are bit-identical compiled or not).
-//     Both consume one uniform per draw, so the random stream is the
-//     same either way; see prob.Alias for what "distribution-equivalent
-//     but not bit-identical" means.
+//   - Each step's successor distribution is pre-resolved into a
+//     cumulative-float64 scan (prob.Frozen) that replays Dist.Pick's
+//     exact accumulation, so seeded runs are bit-identical compiled or
+//     not, for any distribution.
 //
 // The cache is sharded by state hash (hash/maphash.Comparable) with one
 // RWMutex per shard: steady state is a read-lock and a map hit, and
@@ -58,8 +54,7 @@ const compileShards = 64
 const maxCompiledStates = 1 << 20
 
 // stateEntry is the compiled form of one interned state: the memoized
-// Moves/UserMoves of every process, their pre-resolved samplers (alias
-// tables for the default path, frozen scans for BitCompat), and the
+// Moves/UserMoves of every process, their pre-resolved samplers, and the
 // derived scheduling facts the engine needs every step. All fields are
 // immutable after construction and shared read-only (including into
 // policy Views — see the View doc).
@@ -75,12 +70,11 @@ type stateEntry[S comparable] struct {
 }
 
 // moveSampler bundles everything the per-event hot path needs about one
-// move into one contiguous struct — the alias table, the BitCompat
-// frozen scan, and the successor-entry cache — so applyChoice does a
-// single indexed load instead of walking three parallel slice-of-slice
-// structures.
+// move into one contiguous struct — the frozen scan and the
+// successor-entry cache — so applyChoice does a single indexed load
+// instead of walking parallel slice-of-slice structures.
 //
-// succ caches, per alias support index, the interned entry of that
+// succ caches, per support index, the interned entry of that
 // outcome's successor state. The engine resolves a slot the first time
 // a trial follows that outcome and every later traversal skips the
 // shard lock and map probe entirely — in steady state the trial loop
@@ -89,7 +83,6 @@ type stateEntry[S comparable] struct {
 // stores the same canonical entry (or, past the interning cap, an
 // equivalent one), so last-write-wins is sound.
 type moveSampler[S comparable] struct {
-	alias  prob.Alias[S]
 	frozen prob.Frozen[S]
 	succ   []atomic.Pointer[stateEntry[S]]
 }
@@ -122,15 +115,12 @@ var _ sched.Model[int] = (*Compiled[int])(nil)
 
 // Compile wraps m in a concurrency-safe transition cache that interns
 // states, memoizes Moves/UserMoves per state and pre-resolves every
-// successor distribution into float64 samplers: a Walker alias table
-// (prob.Alias, the engine's default — O(1) per draw) and a cumulative
-// scan (prob.Frozen, selected by Options.BitCompat). The result samples
-// the same distributions from the same random stream as m — and under
-// BitCompat is bit-identical to m for any worker count — while the hot
-// loop does no repeated model queries, no big.Rat arithmetic and no
-// per-draw map lookups. Models that implement sched.Packer[S] are
-// interned by their fixed-width packed encoding, keeping cache keys to
-// a few machine words.
+// successor distribution into a float64 cumulative scan (prob.Frozen).
+// The result is bit-identical to m for any seed and worker count, while
+// the hot loop does no repeated model queries, no big.Rat arithmetic and
+// no per-draw map lookups. Models that implement sched.Packer[S] are
+// interned by their fixed-width packed encoding, keeping cache keys to a
+// few machine words.
 //
 // Compiling relies on the sched.Model contract that Moves/UserMoves are
 // purely functional. Compile spot-checks the contract (repeated queries
@@ -286,8 +276,7 @@ func compileSamplers[S comparable](moves []pa.Step[S]) []moveSampler[S] {
 	ms := make([]moveSampler[S], len(moves))
 	for j := range moves {
 		ms[j].frozen = prob.Freeze(moves[j].Next)
-		ms[j].alias = prob.BuildAlias(moves[j].Next)
-		ms[j].succ = make([]atomic.Pointer[stateEntry[S]], ms[j].alias.Len())
+		ms[j].succ = make([]atomic.Pointer[stateEntry[S]], ms[j].frozen.Len())
 	}
 	return ms
 }

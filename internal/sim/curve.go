@@ -2,10 +2,9 @@ package sim
 
 import (
 	"fmt"
-	"math/rand"
+	"math"
 	"sort"
 
-	"repro/internal/sched"
 	"repro/internal/stats"
 )
 
@@ -30,48 +29,18 @@ func (c EmpiricalCurve) Point(i int) (est, lo, hi float64, err error) {
 	return est, lo, hi, err
 }
 
-// curveDeadlines validates and sorts the requested horizons; both the
-// sequential and the parallel curve estimators evaluate this canonical
-// ascending copy.
+// curveDeadlines validates and sorts the requested horizons; the curve
+// estimator evaluates this canonical ascending copy.
 func curveDeadlines(deadlines []float64) ([]float64, error) {
 	if len(deadlines) == 0 {
 		return nil, fmt.Errorf("sim: no deadlines")
 	}
+	for _, d := range deadlines {
+		if math.IsNaN(d) {
+			return nil, fmt.Errorf("%w: NaN deadline", ErrInvalidArgument)
+		}
+	}
 	ds := append([]float64(nil), deadlines...)
 	sort.Float64s(ds)
 	return ds, nil
-}
-
-// EstimateCurve runs trials independent runs under fresh policies from mk
-// and tallies, for every deadline, whether the target was reached by
-// then. Deadlines are sorted; the run budget is max(deadlines)+1.
-// EstimateCurveParallel is the multi-core variant.
-func EstimateCurve[S comparable](m sched.Model[S], mk func() Policy[S], target func(S) bool, deadlines []float64, trials int, opts Options[S], rng *rand.Rand) (EmpiricalCurve, error) {
-	if err := validateEstimate(m, mk, target, trials); err != nil {
-		return EmpiricalCurve{}, err
-	}
-	if rng == nil {
-		return EmpiricalCurve{}, fmt.Errorf("%w: nil RNG", ErrInvalidArgument)
-	}
-	ds, err := curveDeadlines(deadlines)
-	if err != nil {
-		return EmpiricalCurve{}, err
-	}
-	curve := EmpiricalCurve{
-		Deadlines: ds,
-		At:        make([]stats.Proportion, len(ds)),
-	}
-	if opts.MaxTime <= 0 {
-		opts.MaxTime = ds[len(ds)-1] + 1
-	}
-	for trial := 0; trial < trials; trial++ {
-		res, err := RunOnce(m, mk(), target, opts, rng)
-		if err != nil {
-			return curve, fmt.Errorf("sim: trial %d: %w", trial, err)
-		}
-		for i, d := range ds {
-			curve.At[i].Observe(res.Reached && res.ReachedAt <= d)
-		}
-	}
-	return curve, nil
 }

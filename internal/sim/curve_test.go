@@ -1,17 +1,14 @@
 package sim
 
 import (
-	"math/rand"
+	"context"
 	"testing"
 )
 
 func TestEstimateCurve(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	curve, err := EstimateCurve[flipState](flipper{},
-		func() Policy[flipState] { return Slowest[flipState]() },
-		func(s flipState) bool { return s.Heads },
+	curve, _, err := EstimateCurveParallel[flipState](context.Background(), flipper{}, mkSlowest, heads,
 		[]float64{3, 1, 2}, // unsorted on purpose
-		3000, Options[flipState]{}, rng)
+		3000, Options[flipState]{}, ParallelOptions{Workers: 1, Seed: 17})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,11 +35,9 @@ func TestEstimateCurve(t *testing.T) {
 }
 
 func TestEstimateCurveEmpty(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	_, err := EstimateCurve[flipState](flipper{},
-		func() Policy[flipState] { return Slowest[flipState]() },
+	_, _, err := EstimateCurveParallel[flipState](context.Background(), flipper{}, mkSlowest,
 		func(flipState) bool { return false },
-		nil, 10, Options[flipState]{}, rng)
+		nil, 10, Options[flipState]{}, ParallelOptions{Workers: 1, Seed: 1})
 	if err == nil {
 		t.Error("empty deadline list accepted")
 	}

@@ -5,18 +5,19 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/pa"
 	"repro/internal/prob"
 	"repro/internal/sched"
 )
 
-// skewFlip is flipper with a 3/4–1/4 coin, heavy side first: the support
-// order where the alias table partitions [0, 1) differently from the
-// cumulative scan (draws in [1/2, 3/4) map to different outcomes). It is
-// the sentinel that Options.BitCompat does real work — the case studies'
-// fair coins and point distributions coincidentally sample identically
-// under both samplers, so a test on those models cannot tell them apart.
+// skewFlip is flipper with a 3/4–1/4 coin, heavy side first. The case
+// studies draw only point masses and fair coins, which many samplers map
+// from a uniform to the same outcome as Dist.Pick's cumulative scan; on
+// this coin a sampler that partitions [0, 1) any other way (an alias
+// table, say, which sends draws in [1/2, 3/4) to the light side) is
+// caught by the identity tests below.
 type skewFlip struct{}
 
 func (skewFlip) Name() string       { return "skew-flipper" }
@@ -40,76 +41,70 @@ func (skewFlip) UserMoves(flipState, int) []pa.Step[flipState] { return nil }
 
 var _ sched.Model[flipState] = skewFlip{}
 
-// TestBitCompatRestoresIdentity pins the sampler contract on the one
-// distribution shape where it is observable: the compiled default (alias
-// tables) must diverge from the uncompiled run for some seeds — proving
-// the test can tell the samplers apart — while Options.BitCompat must
-// restore exact equality on every seed.
-func TestBitCompatRestoresIdentity(t *testing.T) {
+// TestCompiledMatchesUncompiledSkewedCoin pins the sampler contract on
+// a distribution where it is observable: the compiled engine must draw
+// exactly what the uncompiled RunOnce draws, on every seed.
+func TestCompiledMatchesUncompiledSkewedCoin(t *testing.T) {
 	cm := Compile[flipState](skewFlip{})
-	diverged := false
+	if _, ok := cm.(*Compiled[flipState]); !ok {
+		t.Fatal("skewFlip was not compiled")
+	}
 	for seed := int64(0); seed < 200; seed++ {
 		want, err1 := RunOnce[flipState](skewFlip{}, Slowest[flipState](), heads, Options[flipState]{}, rand.New(rand.NewSource(seed)))
-		alias, err2 := RunOnce[flipState](cm, Slowest[flipState](), heads, Options[flipState]{}, rand.New(rand.NewSource(seed)))
-		bc, err3 := RunOnce[flipState](cm, Slowest[flipState](), heads, Options[flipState]{BitCompat: true}, rand.New(rand.NewSource(seed)))
-		if err1 != nil || err2 != nil || err3 != nil {
-			t.Fatalf("seed=%d: errs %v / %v / %v", seed, err1, err2, err3)
+		got, err2 := RunOnce[flipState](cm, Slowest[flipState](), heads, Options[flipState]{}, rand.New(rand.NewSource(seed)))
+		if err1 != nil || err2 != nil {
+			t.Fatalf("seed=%d: errs %v / %v", seed, err1, err2)
 		}
-		if !reflect.DeepEqual(bc, want) {
-			t.Fatalf("seed=%d: BitCompat result %+v != uncompiled %+v", seed, bc, want)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed=%d: compiled result %+v != uncompiled %+v", seed, got, want)
 		}
-		if !reflect.DeepEqual(alias, want) {
-			diverged = true
-		}
-	}
-	if !diverged {
-		t.Error("alias sampler never diverged from the scan on the skewed coin; BitCompat has nothing to restore and this test lost its teeth")
 	}
 }
 
-// TestBitCompatParallelMatchesUncompiled: under BitCompat the parallel
-// compiled engine reproduces the NoCompile run exactly, for any worker
-// count, even on the alias-divergent coin.
-func TestBitCompatParallelMatchesUncompiled(t *testing.T) {
+// TestCompiledParallelMatchesUncompiled: the parallel compiled engine
+// reproduces the NoCompile run exactly, for any worker count, on the
+// skewed coin.
+func TestCompiledParallelMatchesUncompiled(t *testing.T) {
 	const trials = 400
 	for _, workers := range []int{1, 4} {
 		base := ParallelOptions{Seed: 11, Workers: workers}
 		noc := base
 		noc.NoCompile = true
-		bc, repB, err1 := EstimateReachProbParallel[flipState](context.Background(), skewFlip{}, mkSlowest, heads,
-			8, trials, Options[flipState]{BitCompat: true}, base)
+		got, repG, err1 := EstimateReachProbParallel[flipState](context.Background(), skewFlip{}, mkSlowest, heads,
+			8, trials, Options[flipState]{}, base)
 		ref, repR, err2 := EstimateReachProbParallel[flipState](context.Background(), skewFlip{}, mkSlowest, heads,
 			8, trials, Options[flipState]{}, noc)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("workers=%d: errs %v / %v", workers, err1, err2)
 		}
-		if bc != ref {
-			t.Errorf("workers=%d: BitCompat compiled %+v != uncompiled %+v", workers, bc, ref)
+		if got != ref {
+			t.Errorf("workers=%d: compiled %+v != uncompiled %+v", workers, got, ref)
 		}
-		if repB.Completed != repR.Completed {
-			t.Errorf("workers=%d: completed %d != %d", workers, repB.Completed, repR.Completed)
+		if repG.Completed != repR.Completed {
+			t.Errorf("workers=%d: completed %d != %d", workers, repG.Completed, repR.Completed)
 		}
 	}
 }
 
 // TestArenaBitIdentical: reusing one scratch and RNG per worker (the
-// default) must be invisible in the results — NoArena runs produce the
-// same estimate and report for every worker count.
+// default) must be invisible in the results — watchdog-armed runs, which
+// give every trial a fresh scratch and RNG, produce the same estimate and
+// report for every worker count.
 func TestArenaBitIdentical(t *testing.T) {
 	const trials = 600
 	for _, workers := range []int{1, 4} {
 		def := ParallelOptions{Seed: 5, Workers: workers}
-		noar := def
-		noar.NoArena = true
+		fresh := def
+		fresh.TrialTimeout = time.Minute
 		got, repG, err1 := EstimateTimeToTargetParallel[flipState](context.Background(), flipper{}, mkSlowest, heads,
 			trials, Options[flipState]{}, def)
 		want, repW, err2 := EstimateTimeToTargetParallel[flipState](context.Background(), flipper{}, mkSlowest, heads,
-			trials, Options[flipState]{}, noar)
+			trials, Options[flipState]{}, fresh)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("workers=%d: errs %v / %v", workers, err1, err2)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d: arena summary %v != no-arena %v", workers, got, want)
+			t.Errorf("workers=%d: arena summary %v != fresh-scratch %v", workers, got, want)
 		}
 		if repG.Completed != repW.Completed {
 			t.Errorf("workers=%d: completed %d != %d", workers, repG.Completed, repW.Completed)

@@ -1,9 +1,8 @@
 package sim
 
-// This file is the parallel counterpart of the sequential Estimate*
-// entry points: it shards a Monte Carlo trial budget across a bounded
-// worker pool while keeping seeded runs bit-identical for every worker
-// count.
+// This file holds the Monte Carlo estimators: they shard a trial budget
+// across a bounded worker pool (Workers: 1 runs it on one goroutine)
+// while keeping seeded runs bit-identical for every worker count.
 //
 // Three design rules make that work:
 //
@@ -24,7 +23,7 @@ package sim
 //     ErrBadChoice, or an estimator-level failure) flips a stop flag that
 //     the pool polls between trials; remaining work is abandoned promptly
 //     and the error of the lowest-numbered failing chunk is returned,
-//     wrapped with its trial index exactly like the sequential paths.
+//     wrapped with its trial index.
 //
 // On top of that sits the resilient run controller:
 //
@@ -59,6 +58,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"runtime/pprof"
@@ -117,26 +117,19 @@ type ParallelOptions struct {
 	// NoCompile disables the compiled-model layer: by default every
 	// parallel entry point wraps the model with Compile (a shared
 	// transition cache plus pre-resolved samplers; a no-op for models
-	// that fail the purity spot-check). An uncompiled run samples with
-	// the cumulative scan, so it matches a compiled run bit-for-bit only
-	// under Options.BitCompat (the default compiled sampler is the alias
-	// table — same distributions, not always the same draws). The escape
-	// hatch exists for debugging and perf comparison, not correctness.
+	// that fail the purity spot-check). Compiled and uncompiled runs are
+	// bit-identical, so the switch selects the reference engine the
+	// identity tests compare against; it is for debugging and perf
+	// comparison, not correctness.
 	NoCompile bool
-	// NoArena disables per-worker trial arenas: by default each worker
-	// reuses one scratch buffer and one RNG across all its trials, which
-	// makes the steady-state trial loop allocation-free. Results are
-	// bit-identical either way — the RNG is reseeded per trial and the
-	// scratch fully reset — so, like NoCompile, the knob exists for
-	// debugging and perf ablation. Runs with TrialTimeout set do not use
-	// arenas regardless: the watchdog may abandon a stalled trial whose
-	// goroutine still owns the scratch, so sharing would race.
-	NoArena bool
 	// TrialTimeout, when positive, arms the per-trial watchdog: a trial
 	// that has not returned within this wall-clock budget is abandoned
 	// and quarantined as a *TrialStalledError — recorded like a panic,
 	// excluded from the estimate, counted against MaxPanics. Zero
-	// disables the watchdog (and its per-trial goroutine overhead).
+	// disables the watchdog (and its per-trial goroutine overhead). An
+	// armed watchdog also turns off the per-worker trial arenas: each
+	// trial gets a fresh scratch and RNG, because an abandoned trial may
+	// still be writing to its scratch when the worker moves on.
 	TrialTimeout time.Duration
 	// Clock is the watchdog's time source; nil means the wall clock.
 	// Tests inject a fault.FakeClock to trip the watchdog without
@@ -375,19 +368,24 @@ func RunParallel[S comparable, A any](ctx context.Context, m sched.Model[S], mk 
 
 	var total A
 	rep := RunReport{Total: trials}
-	if err := validateEstimate(m, mk, target, trials); err != nil {
-		return total, rep, err
-	}
-	if observe == nil {
+	switch {
+	case m == nil:
+		return total, rep, fmt.Errorf("%w: nil model", ErrInvalidArgument)
+	case mk == nil:
+		return total, rep, fmt.Errorf("%w: nil policy factory", ErrInvalidArgument)
+	case target == nil:
+		return total, rep, fmt.Errorf("%w: nil target predicate", ErrInvalidArgument)
+	case trials <= 0:
+		return total, rep, fmt.Errorf("%w: trial budget %d is not positive", ErrInvalidArgument, trials)
+	case math.IsNaN(opts.MaxTime):
+		return total, rep, fmt.Errorf("%w: MaxTime is NaN", ErrInvalidArgument)
+	case observe == nil:
 		return total, rep, fmt.Errorf("%w: nil observe func", ErrInvalidArgument)
-	}
-	if merge == nil {
+	case merge == nil:
 		return total, rep, fmt.Errorf("%w: nil merge func", ErrInvalidArgument)
-	}
-	if popts.MaxPanics < 0 {
+	case popts.MaxPanics < 0:
 		return total, rep, fmt.Errorf("%w: negative quarantine budget %d", ErrInvalidArgument, popts.MaxPanics)
-	}
-	if len(popts.PprofLabels)%2 != 0 {
+	case len(popts.PprofLabels)%2 != 0:
 		return total, rep, fmt.Errorf("%w: PprofLabels must alternate key,value (got %d entries)", ErrInvalidArgument, len(popts.PprofLabels))
 	}
 	if ctx == nil {
@@ -478,7 +476,7 @@ func RunParallel[S comparable, A any](ctx context.Context, m sched.Model[S], mk 
 	// runChunk executes every trial of one unclaimed chunk and commits
 	// the chunk on completion. A nil return with done[chunk] still false
 	// means the chunk was abandoned because another chunk failed. ar is
-	// the calling worker's private arena; nil when arenas are off.
+	// the calling worker's private arena; nil when the watchdog is armed.
 	runChunk := func(chunk int, ar *trialArena[S]) error {
 		lo := chunk * parallelChunkSize
 		hi := min(lo+parallelChunkSize, trials)
@@ -511,17 +509,14 @@ func RunParallel[S comparable, A any](ctx context.Context, m sched.Model[S], mk 
 			}
 			var res Result[S]
 			var err error
-			switch {
-			case popts.TrialTimeout > 0:
+			if ar == nil {
 				res, err = runWatched(m, mk(), target, opts, newTrialRNG(seed), clock, popts.TrialTimeout, i, seed)
-			case ar != nil:
+			} else {
 				// Reseeding the arena's RNG restores exactly the state a
 				// fresh newTrialRNG(seed) would have, so the trial's
 				// coins are independent of arena reuse.
 				ar.rng.Seed(seed)
 				res, err = runArenaTrial(ar.sc, mk(), target, opts, ar.rng)
-			default:
-				res, err = RunOnce(m, mk(), target, opts, newTrialRNG(seed))
 			}
 			var se *TrialStalledError
 			if errors.As(err, &se) {
@@ -585,14 +580,14 @@ func RunParallel[S comparable, A any](ctx context.Context, m sched.Model[S], mk 
 	}
 
 	// Each worker owns one arena — a scratch buffer and an RNG reused
-	// across all its trials — unless arenas are off or the watchdog is
-	// armed (an abandoned stalled trial would keep writing to a scratch
-	// the worker has moved past). Arenas are built here, on the caller's
-	// goroutine, so a misbehaving model panics to the caller like
-	// Compile would, not inside a worker.
+	// across all its trials — unless the watchdog is armed (an abandoned
+	// stalled trial would keep writing to a scratch the worker has moved
+	// past). Arenas are built here, on the caller's goroutine, so a
+	// misbehaving model panics to the caller like Compile would, not
+	// inside a worker.
 	workers := min(popts.workers(), hiChunk-loChunk)
 	arenas := make([]*trialArena[S], workers)
-	if popts.TrialTimeout <= 0 && !popts.NoArena {
+	if popts.TrialTimeout <= 0 {
 		for w := range arenas {
 			arenas[w] = &trialArena[S]{sc: newViewScratch[S](m), rng: newTrialRNG(0)}
 		}
@@ -679,15 +674,17 @@ func RunParallel[S comparable, A any](ctx context.Context, m sched.Model[S], mk 
 	return total, rep, nil
 }
 
-// EstimateReachProbParallel is the parallel counterpart of
-// EstimateReachProb: it estimates the probability that the target is
-// reached within the given time, sharding trials across popts.Workers.
-// Seeded results are bit-identical for every worker count; they differ
-// from the sequential path, which threads one RNG through all trials.
-// The RunReport carries partial-run and quarantine details; see
-// RunParallel for the cancellation, checkpoint and panic semantics.
+// EstimateReachProbParallel estimates the probability that the target
+// is reached within the given time, sharding trials across
+// popts.Workers. Seeded results are bit-identical for every worker
+// count. A NaN within is rejected with ErrInvalidArgument. The
+// RunReport carries partial-run and quarantine details; see RunParallel
+// for the cancellation, checkpoint and panic semantics.
 func EstimateReachProbParallel[S comparable](ctx context.Context, m sched.Model[S], mk func() Policy[S], target func(S) bool,
 	within float64, trials int, opts Options[S], popts ParallelOptions) (stats.Proportion, RunReport, error) {
+	if math.IsNaN(within) {
+		return stats.Proportion{}, RunReport{Total: trials}, fmt.Errorf("%w: within deadline is NaN", ErrInvalidArgument)
+	}
 	popts.kind = fmt.Sprintf("reachprob(within=%v)", within)
 	return RunParallel(ctx, m, mk, target, trials, opts, popts,
 		func(acc *stats.Proportion, _ int, res Result[S]) error {
@@ -697,10 +694,9 @@ func EstimateReachProbParallel[S comparable](ctx context.Context, m sched.Model[
 		func(dst *stats.Proportion, src stats.Proportion) { dst.Merge(src) })
 }
 
-// EstimateTimeToTargetParallel is the parallel counterpart of
-// EstimateTimeToTarget: it summarizes the time to reach the target over
-// trials independent runs; a run that never reaches it is an error, which
-// cancels the remaining trials (use a generous Options.MaxTime for
+// EstimateTimeToTargetParallel summarizes the time to reach the target
+// over trials independent runs; a run that never reaches it is an error,
+// which cancels the remaining trials (use a generous Options.MaxTime for
 // almost-sure targets). The RunReport carries partial-run and quarantine
 // details; see RunParallel for the cancellation, checkpoint and panic
 // semantics.
@@ -719,10 +715,11 @@ func EstimateTimeToTargetParallel[S comparable](ctx context.Context, m sched.Mod
 		func(dst *stats.Summary, src stats.Summary) { dst.Merge(src) })
 }
 
-// EstimateCurveParallel is the parallel counterpart of EstimateCurve: one
-// sharded batch of runs yields the empirical reach probability for every
-// requested deadline at once. Deadlines are sorted; when opts.MaxTime is
-// unset the run budget is max(deadlines)+1, as in the sequential path.
+// EstimateCurveParallel runs one sharded batch of runs under fresh
+// policies from mk and yields the empirical reach probability for every
+// requested deadline at once. Deadlines are sorted (a NaN deadline is
+// rejected); when opts.MaxTime is unset the run budget is
+// max(deadlines)+1.
 // The RunReport carries partial-run and quarantine details; see
 // RunParallel for the cancellation, checkpoint and panic semantics.
 func EstimateCurveParallel[S comparable](ctx context.Context, m sched.Model[S], mk func() Policy[S], target func(S) bool,

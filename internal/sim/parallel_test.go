@@ -106,7 +106,7 @@ func TestEstimateTimeToTargetParallelValue(t *testing.T) {
 
 // TestEstimateCurveParallelDeterministic checks the sharded curve:
 // identical across worker counts, monotone in the deadline, and sharing
-// the sequential default budget semantics.
+// the default budget semantics (max(deadlines)+1).
 func TestEstimateCurveParallelDeterministic(t *testing.T) {
 	deadlines := []float64{3, 1, 2} // unsorted on purpose
 	var curves []EmpiricalCurve

@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -81,7 +82,7 @@ func TestPanicAbortNamesReproSeed(t *testing.T) {
 
 	// The one-line repro: a fresh RunOnce on the trial's private RNG
 	// reproduces the exact panic.
-	_, rerr := RunOnce[flipState](flipper{}, mk(), heads, Options[flipState]{}, rand.New(rand.NewSource(pe.Seed)))
+	_, rerr := RunOnce[flipState](flipper{}, mk(), heads, Options[flipState]{}, newTrialRNG(pe.Seed))
 	var rpe *TrialPanicError
 	if !errors.As(rerr, &rpe) || fmt.Sprint(rpe.Value) != fmt.Sprint(pe.Value) {
 		t.Errorf("RunOnce with seed %d = %v, want the original panic %v", pe.Seed, rerr, pe.Value)
@@ -377,9 +378,9 @@ func TestCheckpointSetRoundTrip(t *testing.T) {
 	}
 }
 
-// TestEstimateValidation: nil RNGs, nil factories and bad budgets are
-// clear up-front errors on every entry point, never a panic deep in the
-// engine.
+// TestEstimateValidation: nil RNGs, nil factories, bad budgets and NaN
+// time bounds are clear up-front errors on every entry point, never a
+// panic deep in the engine or a silently wrong estimate.
 func TestEstimateValidation(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(1))
@@ -397,23 +398,30 @@ func TestEstimateValidation(t *testing.T) {
 	_, err = RunOnce[flipState](flipper{}, Slowest[flipState](), nil, Options[flipState]{}, rng)
 	check("RunOnce nil target", err)
 
-	_, err = EstimateReachProb[flipState](flipper{}, nil, heads, 2, 10, Options[flipState]{}, rng)
-	check("EstimateReachProb nil factory", err)
-	_, err = EstimateReachProb[flipState](flipper{}, mkSlowest, heads, 2, 10, Options[flipState]{}, nil)
-	check("EstimateReachProb nil rng", err)
-	_, err = EstimateReachProb[flipState](flipper{}, mkSlowest, heads, 2, 0, Options[flipState]{}, rng)
-	check("EstimateReachProb zero trials", err)
-	_, err = EstimateTimeToTarget[flipState](flipper{}, nil, heads, 10, Options[flipState]{}, rng)
-	check("EstimateTimeToTarget nil factory", err)
-	_, err = EstimateTimeToTarget[flipState](flipper{}, mkSlowest, heads, -1, Options[flipState]{}, rng)
-	check("EstimateTimeToTarget negative trials", err)
-	_, err = EstimateCurve[flipState](flipper{}, mkSlowest, heads, []float64{1}, 10, Options[flipState]{}, nil)
-	check("EstimateCurve nil rng", err)
-	_, err = EstimateCurve[flipState](flipper{}, nil, heads, []float64{1}, 10, Options[flipState]{}, rng)
-	check("EstimateCurve nil factory", err)
+	_, err = RunOnce[flipState](flipper{}, Slowest[flipState](), heads, Options[flipState]{MaxTime: math.NaN()}, rng)
+	check("RunOnce NaN MaxTime", err)
 
 	_, _, err = EstimateReachProbParallel[flipState](ctx, flipper{}, nil, heads, 2, 10, Options[flipState]{}, ParallelOptions{})
 	check("EstimateReachProbParallel nil factory", err)
+	_, _, err = EstimateTimeToTargetParallel[flipState](ctx, flipper{}, mkSlowest, heads, -1, Options[flipState]{}, ParallelOptions{})
+	check("EstimateTimeToTargetParallel negative trials", err)
+
+	// A NaN time bound compares false against every step time: unchecked,
+	// it would report P = 0 with no error.
+	_, _, err = EstimateReachProbParallel[flipState](ctx, flipper{}, mkSlowest, heads, math.NaN(), 10, Options[flipState]{}, ParallelOptions{})
+	check("EstimateReachProbParallel NaN within", err)
+	_, _, err = EstimateReachProbParallel[flipState](ctx, flipper{}, mkSlowest, heads, 2, 10,
+		Options[flipState]{MaxTime: math.NaN()}, ParallelOptions{})
+	check("EstimateReachProbParallel NaN MaxTime", err)
+	_, _, err = EstimateTimeToTargetParallel[flipState](ctx, flipper{}, mkSlowest, heads, 10,
+		Options[flipState]{MaxTime: math.NaN()}, ParallelOptions{})
+	check("EstimateTimeToTargetParallel NaN MaxTime", err)
+	_, _, err = EstimateCurveParallel[flipState](ctx, flipper{}, mkSlowest, heads, []float64{1, math.NaN()}, 10,
+		Options[flipState]{}, ParallelOptions{})
+	check("EstimateCurveParallel NaN deadline", err)
+	_, _, err = EstimateCurveParallel[flipState](ctx, flipper{}, mkSlowest, heads, []float64{1}, 10,
+		Options[flipState]{MaxTime: math.NaN()}, ParallelOptions{})
+	check("EstimateCurveParallel NaN MaxTime", err)
 	_, _, err = EstimateTimeToTargetParallel[flipState](ctx, flipper{}, mkSlowest, nil, 10, Options[flipState]{}, ParallelOptions{})
 	check("EstimateTimeToTargetParallel nil target", err)
 	_, _, err = EstimateCurveParallel[flipState](ctx, flipper{}, mkSlowest, heads, []float64{1}, 0, Options[flipState]{}, ParallelOptions{})

@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/pa"
 	"repro/internal/sched"
-	"repro/internal/stats"
 )
 
 // View is what a policy sees when asked for its next choice: the current
@@ -101,15 +100,6 @@ type Options[S comparable] struct {
 	// step time, acting process, action name and resulting state — the
 	// hook used by the trace recorder.
 	Observer func(t float64, proc int, action string, next S)
-	// BitCompat forces a compiled model (Compile) to sample successor
-	// states with the cumulative-scan sampler (prob.Frozen), which is
-	// provably bit-identical to the uncompiled engine for every
-	// distribution. The default (false) uses O(1) alias tables
-	// (prob.Alias): same random stream, same distribution of outcomes,
-	// but individual draws may map to different support elements when a
-	// distribution's cumulative weights are not exactly representable.
-	// Uncompiled runs ignore the flag.
-	BitCompat bool
 }
 
 func (o Options[S]) withDefaults() Options[S] {
@@ -144,29 +134,12 @@ var (
 	// a quarantined Pick panic.
 	ErrBadModel = errors.New("sim: model returned an invalid step")
 	// ErrInvalidArgument reports a malformed call (nil model, policy,
-	// policy factory, target or RNG, or a non-positive trial budget): the
-	// engine rejects it up front with a clear error instead of panicking
-	// deep inside a run.
+	// policy factory, target or RNG, a non-positive trial budget, or a NaN
+	// time bound): the engine rejects it up front with a clear error
+	// instead of panicking deep inside a run or quietly answering for a
+	// bound no step can meet.
 	ErrInvalidArgument = errors.New("sim: invalid argument")
 )
-
-// validateEstimate is the shared argument check of every estimator entry
-// point, sequential and parallel.
-func validateEstimate[S comparable](m sched.Model[S], mk func() Policy[S], target func(S) bool, trials int) error {
-	if m == nil {
-		return fmt.Errorf("%w: nil model", ErrInvalidArgument)
-	}
-	if mk == nil {
-		return fmt.Errorf("%w: nil policy factory", ErrInvalidArgument)
-	}
-	if target == nil {
-		return fmt.Errorf("%w: nil target predicate", ErrInvalidArgument)
-	}
-	if trials <= 0 {
-		return fmt.Errorf("%w: trial budget %d is not positive", ErrInvalidArgument, trials)
-	}
-	return nil
-}
 
 // RunOnce executes one run of the model under the policy until the target
 // predicate holds, the policy stops in a quiescent state, or a budget is
@@ -189,6 +162,9 @@ func RunOnce[S comparable](m sched.Model[S], p Policy[S], target func(S) bool, o
 	if rng == nil {
 		return Result[S]{}, fmt.Errorf("%w: nil RNG", ErrInvalidArgument)
 	}
+	if math.IsNaN(opts.MaxTime) {
+		return Result[S]{}, fmt.Errorf("%w: MaxTime is NaN", ErrInvalidArgument)
+	}
 	defer recoverTrialPanic(&err)
 	err = runTrial(newViewScratch[S](m), p, target, opts.withDefaults(), rng, &res)
 	return res, err
@@ -200,7 +176,7 @@ func RunOnce[S comparable](m sched.Model[S], p Policy[S], target func(S) bool, o
 // still sees the partial Result. The scratch may be reused across
 // trials: runTrial resets it, and opts must already carry defaults.
 func runTrial[S comparable](sc *viewScratch[S], p Policy[S], target func(S) bool, opts Options[S], rng *rand.Rand, res *Result[S]) error {
-	sc.reset(opts.BitCompat)
+	sc.reset()
 	state := opts.Start
 	if !opts.SetStart {
 		if !sc.haveStart {
@@ -281,10 +257,6 @@ type viewScratch[S comparable] struct {
 	// (always of that same state) consumes it instead of re-hashing the
 	// state into the shard maps.
 	pending *stateEntry[S]
-	// bitCompat selects the compiled path's sampler for the current
-	// trial: frozen cumulative scans (Options.BitCompat) instead of the
-	// default alias tables. Set by reset.
-	bitCompat bool
 	// start memoizes m.Start()[0] after the first trial that needs it
 	// (models are purely functional, so the start state is a constant):
 	// an arena worker would otherwise pay Start's slice allocation on
@@ -317,7 +289,7 @@ func newViewScratch[S comparable](m sched.Model[S]) *viewScratch[S] {
 		n:        n,
 		deadline: make([]float64, n),
 	}
-	sc.reset(false)
+	sc.reset()
 	if cm, ok := m.(*Compiled[S]); ok {
 		sc.cm = cm
 		return sc
@@ -332,13 +304,12 @@ func newViewScratch[S comparable](m sched.Model[S]) *viewScratch[S] {
 // reset clears the per-trial state — every scheduling obligation and the
 // cached compiled entry — so one scratch can serve many trials (the
 // parallel arena path) without carrying state across them.
-func (sc *viewScratch[S]) reset(bitCompat bool) {
+func (sc *viewScratch[S]) reset() {
 	for i := range sc.deadline {
 		sc.deadline[i] = math.Inf(1)
 	}
 	sc.cur = nil
 	sc.pending = nil
-	sc.bitCompat = bitCompat
 }
 
 // build refreshes the deadline bookkeeping for the current state in the
@@ -465,14 +436,11 @@ func applyChoice[S comparable](now, deadlineMin float64, c Choice, sc *viewScrat
 			return zero, 0, fmt.Errorf("%w: time %v outside [%v, %v]", ErrBadChoice, t, now, deadlineMin)
 		}
 		m := &ms[c.Move]
-		if m.alias.Len() == 0 {
+		if m.frozen.Len() == 0 {
 			return zero, 0, fmt.Errorf("%w: proc %d action %q has an empty successor distribution", ErrBadModel, c.Proc, sc.action(c))
 		}
-		if sc.bitCompat {
-			return m.frozen.Pick(rng.Float64()), t, nil
-		}
-		idx := m.alias.PickIndex(rng.Float64())
-		next := m.alias.At(idx)
+		idx := m.frozen.PickIndex(rng.Float64())
+		next := m.frozen.At(idx)
 		// Follow (or lazily resolve) the cached successor entry so the
 		// next build skips the interning maps; see moveSampler.succ.
 		slot := &m.succ[idx]
@@ -520,48 +488,4 @@ func (sc *viewScratch[S]) action(c Choice) string {
 		return user[c.Proc][c.Move].Action
 	}
 	return moves[c.Proc][c.Move].Action
-}
-
-// EstimateReachProb runs trials independent runs and estimates the
-// probability that the target is reached within the given time.
-func EstimateReachProb[S comparable](m sched.Model[S], mk func() Policy[S], target func(S) bool, within float64, trials int, opts Options[S], rng *rand.Rand) (stats.Proportion, error) {
-	var prop stats.Proportion
-	if err := validateEstimate(m, mk, target, trials); err != nil {
-		return prop, err
-	}
-	if rng == nil {
-		return prop, fmt.Errorf("%w: nil RNG", ErrInvalidArgument)
-	}
-	for i := 0; i < trials; i++ {
-		res, err := RunOnce(m, mk(), target, opts, rng)
-		if err != nil {
-			return prop, fmt.Errorf("sim: trial %d: %w", i, err)
-		}
-		prop.Observe(res.Reached && res.ReachedAt <= within)
-	}
-	return prop, nil
-}
-
-// EstimateTimeToTarget runs trials independent runs and summarizes the
-// time to reach the target; runs that never reach it are an error (use a
-// generous Options.MaxTime for almost-sure targets).
-func EstimateTimeToTarget[S comparable](m sched.Model[S], mk func() Policy[S], target func(S) bool, trials int, opts Options[S], rng *rand.Rand) (stats.Summary, error) {
-	var sum stats.Summary
-	if err := validateEstimate(m, mk, target, trials); err != nil {
-		return sum, err
-	}
-	if rng == nil {
-		return sum, fmt.Errorf("%w: nil RNG", ErrInvalidArgument)
-	}
-	for i := 0; i < trials; i++ {
-		res, err := RunOnce(m, mk(), target, opts, rng)
-		if err != nil {
-			return sum, fmt.Errorf("sim: trial %d: %w", i, err)
-		}
-		if !res.Reached {
-			return sum, fmt.Errorf("sim: trial %d did not reach the target within budget (events=%d, state=%v)", i, res.Events, res.Final)
-		}
-		sum.Observe(res.ReachedAt)
-	}
-	return sum, nil
 }

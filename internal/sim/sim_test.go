@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -298,14 +299,14 @@ func TestRunOnceMaxTimeTruncation(t *testing.T) {
 	}
 }
 
+// The estimator tests below run on one engine goroutine (Workers: 1),
+// the configuration that replaced the sequential estimators.
+
 func TestEstimateReachProb(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
 	// P[heads within time 2] under the slowest policy = P[heads in <= 2
 	// flips] = 3/4.
-	prop, err := EstimateReachProb[flipState](flipper{},
-		func() Policy[flipState] { return Slowest[flipState]() },
-		func(s flipState) bool { return s.Heads },
-		2, 4000, Options[flipState]{}, rng)
+	prop, _, err := EstimateReachProbParallel[flipState](context.Background(), flipper{}, mkSlowest, heads,
+		2, 4000, Options[flipState]{}, ParallelOptions{Workers: 1, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,11 +320,8 @@ func TestEstimateReachProb(t *testing.T) {
 }
 
 func TestEstimateTimeToTarget(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	sum, err := EstimateTimeToTarget[flipState](flipper{},
-		func() Policy[flipState] { return Slowest[flipState]() },
-		func(s flipState) bool { return s.Heads },
-		4000, Options[flipState]{}, rng)
+	sum, _, err := EstimateTimeToTargetParallel[flipState](context.Background(), flipper{}, mkSlowest, heads,
+		4000, Options[flipState]{}, ParallelOptions{Workers: 1, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,11 +336,9 @@ func TestEstimateTimeToTarget(t *testing.T) {
 }
 
 func TestEstimateTimeToTargetUnreachable(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	_, err := EstimateTimeToTarget[flipState](flipper{},
-		func() Policy[flipState] { return Slowest[flipState]() },
+	_, _, err := EstimateTimeToTargetParallel[flipState](context.Background(), flipper{}, mkSlowest,
 		func(flipState) bool { return false },
-		1, Options[flipState]{MaxEvents: 50}, rng)
+		1, Options[flipState]{MaxEvents: 50}, ParallelOptions{Workers: 1, Seed: 1})
 	if err == nil {
 		t.Error("unreachable target accepted")
 	}
