@@ -17,8 +17,9 @@
 #                                                corruption network storm against
 #                                                real coordinator + workers
 #   fabric-smoke go test -run TestFabricSmoke    coordinator + 2 workers over
-#                                                loopback reproduce the exact
-#                                                single-process estimate
+#                  + lease-sizing tests          loopback reproduce the exact
+#                                                single-process estimate, with
+#                                                fixed and adaptive leases
 #   trace-smoke simd local -trace-out | simtrace a traced run stopped emitting
 #                                                spans or simtrace lost the
 #                                                critical path
@@ -46,7 +47,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build test test-short test-race bench bench-smoke bench-json bench-diff vuln vet fmt fuzz chaos chaos-smoke chaos-net chaos-net-smoke fabric-smoke trace-smoke mdp-smoke check lrcheck experiments
+.PHONY: all build test test-short test-race bench bench-smoke bench-json bench-diff vuln vet fmt fuzz chaos chaos-smoke chaos-net chaos-net-smoke fabric-smoke bench-fabric trace-smoke mdp-smoke check lrcheck experiments
 
 # Benchmarks recorded in BENCH_sim.json and gated by bench-diff: the
 # parallel-engine throughput row, the hot-path ablation ladder, the
@@ -173,11 +174,19 @@ chaos-net-smoke:
 	CHAOS_STORMS=1 $(GO) test -race -run 'TestChaosNetworkStorm' -count=1 ./cmd/simd
 
 # Distributed-fabric smoke: a coordinator plus two in-process workers
-# over loopback HTTP must reproduce the single-process estimate exactly.
-# Sub-second, so it gates every check; the SIGKILL recovery and resume
-# paths run in the ./cmd/simd process tests and the chaos storms.
+# over loopback HTTP must reproduce the single-process estimate exactly,
+# with fixed and with adaptive leases; the FakeClock lease-sizing tests
+# pin the adaptive rule, per-chunk hedging and whole-lease reassignment.
+# Seconds, so it gates every check; the SIGKILL recovery and
+# resume paths run in the ./cmd/simd process tests and the chaos storms.
 fabric-smoke:
-	$(GO) test ./internal/fabric -run 'TestFabricSmoke' -count=1 -v
+	$(GO) test ./internal/fabric -run 'TestFabricSmoke|TestLeaseSizing|TestHedgeThresholdPerChunk|TestExpiredAdaptiveLeaseReassignedWhole' -count=1 -v
+
+# One traced end-to-end run of the fabric workload: simd-local-equivalent
+# leg A against coordinator + 2 loopback workers, with the per-layer
+# rows (leases, RPC, compute, merge, artifact bytes) and fabric.slowdown.
+bench-fabric:
+	bash perfbench/run.sh --workload dining-fabric --seed 1 --seconds 10 --trace 1
 
 # Tracing smoke: a traced local run must produce a trace that simtrace
 # merges into a timeline with a non-empty critical path. Catches the

@@ -30,11 +30,18 @@
 // -quorum-timeout prints the partial estimate and a resume token
 // instead of hanging forever.
 //
+// Leases are sized from measured chunk time by default (-lease-chunks
+// 0): each covers about a tenth of -lease-ttl of work at the median
+// per-chunk turnaround seen so far (4 chunks before the first result),
+// at most pending/(2·live workers) so no worker holds a large range at
+// the end of the job. Chunks stay 64 trials and merge by index, so the
+// lease size never changes the output; -lease-chunks N fixes it.
+//
 // Usage:
 //
 //	simd local      [job flags] [-workers N]
 //	simd coordinate [job flags] [-listen 127.0.0.1:9777] [-addr-file F]
-//	                [-state state.json] [-keep 3] [-lease-chunks 4]
+//	                [-state state.json] [-keep 3] [-lease-chunks 0]
 //	                [-lease-ttl 3s] [-quorum-timeout 0] [-metrics-out F]
 //	                [-hedge] [-hedge-factor 1.5] [-quarantine-corrupt N]
 //	                [-min-worker-score S] [-max-worker-leases 2]
@@ -246,14 +253,14 @@ func runCoordinate(ctx context.Context, args []string) error {
 	addrFile := fs.String("addr-file", "", "write the bound address to this file once listening (for scripts and tests using -listen :0)")
 	state := fs.String("state", "", "persist the merge frontier to this state file after every accepted result; restart with the same -state to resume")
 	keep := fs.Int("keep", 3, "state-file generations to retain")
-	leaseChunks := fs.Int("lease-chunks", 4, "chunks per lease (64 trials each)")
+	leaseChunks := fs.Int("lease-chunks", 0, "chunks per lease (64 trials each); 0 = adaptive: about lease-ttl/10 of work at the measured per-chunk time, at most pending/(2·live workers), 4 until the first result")
 	leaseTTL := fs.Duration("lease-ttl", 3*time.Second, "lease lifetime without a heartbeat before its chunks are reassigned")
 	quorumTimeout := fs.Duration("quorum-timeout", 0, "give up (printing the partial estimate and a resume token) after this long with no worker contact (0 = wait forever)")
 	metricsOut := fs.String("metrics-out", "", "write the final fabric metrics snapshot as JSON to this file")
 	traceOut := fs.String("trace-out", "", "write trace spans (job, leases, RPCs, merges) as JSONL to this file")
 	progress := fs.Duration("progress", 0, "report chunk-frontier progress to stderr at this interval (0 = off)")
 	hedge := fs.Bool("hedge", false, "speculatively re-issue straggling leases to idle workers before TTL expiry (duplicates are free: first valid result wins)")
-	hedgeFactor := fs.Float64("hedge-factor", 0, "hedge age threshold as a multiple of the p99 lease completion time (0 = default 1.5)")
+	hedgeFactor := fs.Float64("hedge-factor", 0, "hedge a lease once its age exceeds this multiple of the p99 per-chunk turnaround times its chunk count (0 = default 1.5)")
 	quarantineCorrupt := fs.Int("quarantine-corrupt", 0, "blacklist a worker after this many corrupt uploads (0 = off)")
 	minWorkerScore := fs.Float64("min-worker-score", 0, "quarantine workers whose health score falls below this floor (0 = off)")
 	maxWorkerLeases := fs.Int("max-worker-leases", 0, "max concurrent leases per worker (0 = default 2)")

@@ -49,12 +49,15 @@ const (
 )
 
 // CoordinatorOptions configures a Coordinator. The zero value works:
-// 4-chunk leases, 3s TTL, no persistence, wall clock, no metrics, never
-// give up on quorum.
+// adaptive lease sizes, 3s TTL, no persistence, wall clock, no metrics,
+// never give up on quorum.
 type CoordinatorOptions struct {
-	// LeaseChunks is how many chunks one lease covers (default 4 — 256
-	// trials; coarse enough to amortize an RPC, fine enough that losing
-	// a worker loses little).
+	// LeaseChunks, when positive, fixes how many chunks one lease
+	// covers. Zero sizes each lease from measured chunk time (guided
+	// self-scheduling with a time cap): enough chunks to take about
+	// LeaseTTL/10 at the median observed per-chunk turnaround, at most
+	// ⌈pending/(2·live workers)⌉ so the tail of the job stays balanced,
+	// and 4 chunks until the first result has been timed.
 	LeaseChunks int
 	// LeaseTTL is how long a lease lives without a heartbeat (default
 	// 3s). Heartbeats extend it by the same amount.
@@ -83,16 +86,16 @@ type CoordinatorOptions struct {
 
 	// Hedge enables hedged leases: when every pending chunk is leased
 	// out and an idle worker asks for work, a lease whose age exceeds
-	// HedgeFactor times the p99 of observed lease completion times is
-	// speculatively re-issued to the idle worker as a duplicate
-	// ("hedge") lease before its TTL expires. The idempotent
+	// HedgeFactor × the p99 of observed per-chunk turnaround × its own
+	// chunk count is speculatively re-issued to the idle worker as a
+	// duplicate ("hedge") lease before its TTL expires. The idempotent
 	// first-valid-wins merge makes the duplicate free: whichever copy
 	// lands first counts, the other is dropped. This bounds stragglers
 	// — a slow-dripping worker no longer holds job completion hostage
 	// for a full TTL.
 	Hedge bool
-	// HedgeFactor scales the p99 completion time into the hedge age
-	// threshold (default 1.5).
+	// HedgeFactor scales the p99 per-chunk turnaround, times the
+	// lease's chunk count, into the hedge age threshold (default 1.5).
 	HedgeFactor float64
 	// HedgeMinSamples is how many completed leases must be observed
 	// before any hedge fires (default 3) — hedging off a cold p99 would
@@ -120,13 +123,6 @@ type CoordinatorOptions struct {
 	// beyond that many concurrently in flight with 429 + Retry-After
 	// (GET /v1/status stays unshedded — it is the ops probe).
 	MaxInflightRPCs int
-}
-
-func (o CoordinatorOptions) leaseChunks() int {
-	if o.LeaseChunks <= 0 {
-		return 4
-	}
-	return o.LeaseChunks
 }
 
 func (o CoordinatorOptions) leaseTTL() time.Duration {
@@ -229,10 +225,14 @@ type Coordinator struct {
 
 	// health is the per-worker scorecard feeding quarantine decisions.
 	health map[string]*workerHealth
-	// completions is a ring of observed lease grant→delivery times; its
-	// p99 drives the hedge threshold. compIdx is the total recorded.
-	completions []time.Duration
-	compIdx     int
+	// chunkTimes is a ring of settled leases' grant→delivery times, each
+	// divided by the lease's chunk count. Its median sizes adaptive
+	// leases and its p99 drives the hedge threshold. chunkIdx is the
+	// total recorded.
+	chunkTimes []time.Duration
+	chunkIdx   int
+	// lastLeaseChunks is the size of the last primary lease granted.
+	lastLeaseChunks int
 
 	// inflight counts fabric RPCs currently being handled, for
 	// MaxInflightRPCs admission control (outside mu: the check must not
@@ -507,35 +507,58 @@ func (c *Coordinator) quarantineLocked(worker, reason string, now time.Time) {
 		span.Int64("corrupt_uploads", h.corrupt), span.Float("score", h.score())).End()
 }
 
-// recordCompletionLocked feeds one lease's grant→delivery time into the
-// hedge threshold ring. Called with mu held.
-func (c *Coordinator) recordCompletionLocked(d time.Duration) {
+// recordChunkTimeLocked feeds one settled lease's per-chunk
+// grant→delivery time into the ring. Called with mu held.
+func (c *Coordinator) recordChunkTimeLocked(d time.Duration) {
 	const ringCap = 256
-	if len(c.completions) < ringCap {
-		c.completions = append(c.completions, d)
+	if len(c.chunkTimes) < ringCap {
+		c.chunkTimes = append(c.chunkTimes, d)
 	} else {
-		c.completions[c.compIdx%ringCap] = d
+		c.chunkTimes[c.chunkIdx%ringCap] = d
 	}
-	c.compIdx++
+	c.chunkIdx++
 }
 
-// hedgeThresholdLocked derives the lease age past which a hedge may
-// fire: HedgeFactor × the p99 (nearest-rank) of observed completion
-// times, once HedgeMinSamples completions exist. Called with mu held.
+// chunkTimePercentileLocked returns the nearest-rank pct-th percentile
+// of the per-chunk ring, or 0 when it is empty. Called with mu held.
+func (c *Coordinator) chunkTimePercentileLocked(pct int) time.Duration {
+	if len(c.chunkTimes) == 0 {
+		return 0
+	}
+	ds := append([]time.Duration(nil), c.chunkTimes...)
+	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
+	return ds[max((len(ds)*pct+99)/100-1, 0)]
+}
+
+// leaseSizeLocked is the chunk count of the next primary lease, given
+// how many chunks are pending: LeaseChunks when set, otherwise
+// ⌊(LeaseTTL/10) / median per-chunk time⌋ (4 before any lease has been
+// timed), clamped to [1, ⌈pending/(2·live workers)⌉]. Called with mu
+// held.
+func (c *Coordinator) leaseSizeLocked(pending int, now time.Time) int {
+	if c.opts.LeaseChunks > 0 {
+		return c.opts.LeaseChunks
+	}
+	n := 4
+	if len(c.chunkTimes) > 0 {
+		// A zero median (a FakeClock delivery in the grant's instant) is
+		// floored at 1ns, which leaves the cap to set the size.
+		n = int(c.opts.leaseTTL() / 10 / max(c.chunkTimePercentileLocked(50), 1))
+	}
+	live := max(c.liveWorkersLocked(now), 1)
+	return max(min(n, (pending+2*live-1)/(2*live)), 1)
+}
+
+// hedgeThresholdLocked derives the per-chunk age past which a hedge may
+// fire: HedgeFactor × the p99 (nearest-rank) of observed per-chunk
+// turnaround, once HedgeMinSamples leases have been timed. A lease is
+// eligible once its age exceeds this times its chunk count. Called with
+// mu held.
 func (c *Coordinator) hedgeThresholdLocked() (time.Duration, bool) {
-	if len(c.completions) < c.opts.hedgeMinSamples() {
+	if len(c.chunkTimes) < c.opts.hedgeMinSamples() {
 		return 0, false
 	}
-	ds := append([]time.Duration(nil), c.completions...)
-	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-	idx := (len(ds)*99+99)/100 - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(ds) {
-		idx = len(ds) - 1
-	}
-	return time.Duration(float64(ds[idx]) * c.opts.hedgeFactor()), true
+	return time.Duration(float64(c.chunkTimePercentileLocked(99)) * c.opts.hedgeFactor()), true
 }
 
 // hedgeCandidateLocked picks the oldest lease worth hedging for an idle
@@ -552,7 +575,7 @@ func (c *Coordinator) hedgeCandidateLocked(worker string, now time.Time) *lease 
 		if l.worker == worker || l.hedges >= c.opts.maxHedges() {
 			continue
 		}
-		if now.Sub(l.granted) < thr {
+		if now.Sub(l.granted) < thr*time.Duration(l.chunks.Hi-l.chunks.Lo) {
 			continue
 		}
 		live := false
@@ -585,7 +608,7 @@ func (c *Coordinator) liveWorkersLocked(now time.Time) int {
 }
 
 // grant hands out the next lease: the first contiguous run of pending
-// chunks, up to LeaseChunks long. When nothing is pending but leased
+// chunks, up to leaseSizeLocked long. When nothing is pending but leased
 // chunks linger past the hedge threshold, an idle worker gets a hedge —
 // a duplicate lease on the straggler's range. The returned SpanContext
 // names the grant's "lease" span (zero when none was granted or tracing
@@ -618,11 +641,13 @@ func (c *Coordinator) grant(worker string) (LeaseResponse, span.SpanContext) {
 		// Admission control: this worker already holds its fill.
 		return LeaseResponse{None: true, RetryMs: c.opts.leaseTTL().Milliseconds()/2 + 1}, span.SpanContext{}
 	}
-	lo := -1
+	lo, pending := -1, 0
 	for i, st := range c.chunks {
 		if st == chunkPending {
-			lo = i
-			break
+			if lo < 0 {
+				lo = i
+			}
+			pending++
 		}
 	}
 	if lo < 0 {
@@ -636,11 +661,13 @@ func (c *Coordinator) grant(worker string) (LeaseResponse, span.SpanContext) {
 		// lease expired).
 		return LeaseResponse{None: true, RetryMs: c.opts.leaseTTL().Milliseconds()/2 + 1}, span.SpanContext{}
 	}
+	size := c.leaseSizeLocked(pending, now)
 	hi := lo
-	for hi < len(c.chunks) && hi-lo < c.opts.leaseChunks() && c.chunks[hi] == chunkPending {
+	for hi < len(c.chunks) && hi-lo < size && c.chunks[hi] == chunkPending {
 		c.chunks[hi] = chunkLeased
 		hi++
 	}
+	c.lastLeaseChunks = hi - lo
 	if c.opts.Metrics != nil {
 		// How long each granted chunk sat grantable — the "lease wait"
 		// phase of the fabric's latency decomposition.
@@ -778,7 +805,7 @@ func (c *Coordinator) result(req ResultPayload) (ResultResponse, error) {
 	c.duplicates += int64(dups)
 	if settled != nil {
 		c.healthLocked(settled.worker).delivered++
-		c.recordCompletionLocked(now.Sub(settled.granted))
+		c.recordChunkTimeLocked(now.Sub(settled.granted) / time.Duration(settled.chunks.Hi-settled.chunks.Lo))
 	}
 	done := c.complete
 	c.mu.Unlock()
@@ -841,6 +868,8 @@ func (c *Coordinator) Status() Status {
 		HedgesIssued:       c.hedged,
 		WorkersQuarantined: c.quarantined,
 		RPCsShed:           c.shed,
+		LeaseChunksLast:    c.lastLeaseChunks,
+		ChunkMsMedian:      float64(c.chunkTimePercentileLocked(50)) / float64(time.Millisecond),
 	}
 	for worker, h := range c.health {
 		s.Workers = append(s.Workers, WorkerStatus{

@@ -226,6 +226,14 @@ type Status struct {
 	HedgesIssued       int64 `json:"hedges_issued"`
 	WorkersQuarantined int64 `json:"workers_quarantined"`
 	RPCsShed           int64 `json:"rpcs_shed"`
+
+	// LeaseChunksLast is the chunk count of the last primary lease
+	// granted, and ChunkMsMedian the median per-chunk grant→delivery
+	// time (ms) it was sized from; 0 before any lease was timed. With
+	// adaptive leases the next lease covers about LeaseTTL/10 of
+	// ChunkMsMedian-long chunks.
+	LeaseChunksLast int     `json:"lease_chunks_last"`
+	ChunkMsMedian   float64 `json:"chunk_ms_median"`
 	// Workers is the per-worker health table, sorted by worker ID.
 	Workers []WorkerStatus `json:"workers,omitempty"`
 }

@@ -54,51 +54,69 @@ func reference(t *testing.T, spec JobSpec) string {
 
 // TestFabricSmoke runs a coordinator and two in-process workers over
 // real HTTP and demands the distributed estimate equal the
-// single-process one. This is the test behind `make fabric-smoke`.
+// single-process one: once with fixed 2-chunk leases, and once with
+// default options — adaptive leases sized from the turnaround of one
+// fast and one throttled worker. This is the test behind
+// `make fabric-smoke`.
 func TestFabricSmoke(t *testing.T) {
-	ctx := context.Background()
-	spec := testJob(512)
-	c, err := NewCoordinator(ctx, spec, CoordinatorOptions{LeaseChunks: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(c.Handler())
-	defer ts.Close()
-
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	for i := range errs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			w := &Worker{
-				Coordinator: ts.URL,
-				ID:          fmt.Sprintf("smoke-%d", i),
-				Workers:     2,
+	for _, leg := range []struct {
+		name     string
+		trials   int
+		opts     CoordinatorOptions
+		throttle time.Duration // on the second worker
+	}{
+		{"fixed", 512, CoordinatorOptions{LeaseChunks: 2}, 0},
+		{"adaptive", 64 * 64, CoordinatorOptions{}, 20 * time.Millisecond},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			ctx := context.Background()
+			spec := testJob(leg.trials)
+			c, err := NewCoordinator(ctx, spec, leg.opts)
+			if err != nil {
+				t.Fatal(err)
 			}
-			errs[i] = w.Run(ctx)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("worker %d: %v", i, err)
-		}
-	}
-	wctx, cancel := context.WithTimeout(ctx, 10*time.Second)
-	defer cancel()
-	if err := c.Wait(wctx); err != nil {
-		t.Fatalf("Wait: %v", err)
-	}
-	got, rep, err := c.Finalize(ctx)
-	if err != nil {
-		t.Fatalf("Finalize: %v", err)
-	}
-	if want := reference(t, spec); got != want {
-		t.Errorf("distributed estimate %q != single-process %q", got, want)
-	}
-	if rep.Completed != spec.Trials {
-		t.Errorf("finalized %d trials, want %d", rep.Completed, spec.Trials)
+			ts := httptest.NewServer(c.Handler())
+			defer ts.Close()
+
+			var wg sync.WaitGroup
+			errs := make([]error, 2)
+			for i := range errs {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					w := &Worker{
+						Coordinator: ts.URL,
+						ID:          fmt.Sprintf("smoke-%d", i),
+						Workers:     2,
+					}
+					if i == 1 {
+						w.Throttle = leg.throttle
+					}
+					errs[i] = w.Run(ctx)
+				}(i)
+			}
+			wg.Wait()
+			for i, err := range errs {
+				if err != nil {
+					t.Fatalf("worker %d: %v", i, err)
+				}
+			}
+			wctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+			defer cancel()
+			if err := c.Wait(wctx); err != nil {
+				t.Fatalf("Wait: %v", err)
+			}
+			got, rep, err := c.Finalize(ctx)
+			if err != nil {
+				t.Fatalf("Finalize: %v", err)
+			}
+			if want := reference(t, spec); got != want {
+				t.Errorf("distributed estimate %q != single-process %q", got, want)
+			}
+			if rep.Completed != spec.Trials {
+				t.Errorf("finalized %d trials, want %d", rep.Completed, spec.Trials)
+			}
+		})
 	}
 }
 

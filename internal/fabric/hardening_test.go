@@ -136,6 +136,73 @@ func TestHedgeBoundsStraggler(t *testing.T) {
 	}
 }
 
+// TestHedgeThresholdPerChunk: with adaptive leases one job mixes small
+// and large leases, so the hedge threshold scales with each lease's own
+// chunk count. Two cold 4-chunk leases take 200ms each (50ms per chunk),
+// then a straggler takes a 20-chunk lease. At age 500ms that lease has
+// outlived HedgeFactor × the whole-lease p99 (2 × 200ms) but not its own
+// budget (2 × 50ms × 20 = 2s), so it is not hedged; at 2.5s it is.
+func TestHedgeThresholdPerChunk(t *testing.T) {
+	ctx := context.Background()
+	spec := testJob(128 * 64)
+	runner, err := NewRunner(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc := fault.NewFakeClock(time.Unix(0, 0))
+	c, err := NewCoordinator(ctx, spec, CoordinatorOptions{
+		Clock:           fc,
+		LeaseTTL:        10 * time.Second,
+		Hedge:           true,
+		HedgeFactor:     2,
+		HedgeMinSamples: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := c.grant("w1")
+	b, _ := c.grant("w2")
+	fc.Advance(200 * time.Millisecond)
+	deliverRange(t, c, runner, "w1", a.Lease.ID, a.Lease.Chunks)
+	deliverRange(t, c, runner, "w2", b.Lease.ID, b.Lease.Chunks)
+
+	// (10s/10) / 50ms = 20 chunks; the cap ⌈120/(2·3)⌉ = 20 agrees.
+	big, _ := c.grant("s")
+	if big.Lease == nil || big.Lease.Chunks != (sim.ChunkRange{Lo: 8, Hi: 28}) {
+		t.Fatalf("straggler lease = %+v, want [8,28)", big)
+	}
+	// w1 finishes everything else at once, leaving only the straggler's
+	// range outstanding. Its instant deliveries keep the p99 at 50ms.
+	for {
+		lr, _ := c.grant("w1")
+		if lr.Lease == nil {
+			break
+		}
+		deliverRange(t, c, runner, "w1", lr.Lease.ID, lr.Lease.Chunks)
+	}
+
+	fc.Advance(500 * time.Millisecond)
+	if lr, _ := c.grant("w2"); !lr.None || lr.Lease != nil {
+		t.Fatalf("grant at straggler age 500ms = %+v, want None (inside its 2s budget)", lr)
+	}
+	fc.Advance(2 * time.Second)
+	hedge, _ := c.grant("w2")
+	if hedge.Lease == nil || hedge.Lease.Chunks != big.Lease.Chunks {
+		t.Fatalf("grant at straggler age 2.5s = %+v, want a hedge of %v", hedge, big.Lease.Chunks)
+	}
+	deliverRange(t, c, runner, "w2", hedge.Lease.ID, hedge.Lease.Chunks)
+	if st := c.Status(); !st.Complete || st.HedgesIssued != 1 || st.LeasesExpired != 0 {
+		t.Errorf("status = complete %v, %d hedges, %d expired; want true, 1, 0", st.Complete, st.HedgesIssued, st.LeasesExpired)
+	}
+	got, _, err := c.Finalize(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := reference(t, spec); got != want {
+		t.Errorf("hedged estimate %q != reference %q", got, want)
+	}
+}
+
 // TestCorruptUploadQuarantine: a worker whose uploads keep failing the
 // CRC envelope is blacklisted after QuarantineCorrupt strikes — no
 // further leases, metric incremented, a "quarantine" span recorded —
