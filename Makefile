@@ -138,10 +138,14 @@ fmt:
 #   RunOnceAdversarial  adversarial policies: typed errors, never a crash
 #   LoadCheckpointSet   hostile checkpoint bytes: ErrCorruptArtifact, never a panic
 #   ReadManifest        hostile manifest JSONL: ErrCorruptManifest, never a panic
+#   RatOps              inline int64 rationals: every op equals math/big, canonical form
+#   FrozenPickIdentity  frozen sampler picks exactly what Dist.Pick picks
 fuzz:
 	$(GO) test ./internal/sim -run='^$$' -fuzz=FuzzRunOnceAdversarial -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/sim -run='^$$' -fuzz=FuzzLoadCheckpointSet -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/obs -run='^$$' -fuzz=FuzzReadManifest -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/prob -run='^$$' -fuzz=FuzzRatOps -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/prob -run='^$$' -fuzz=FuzzFrozenPickIdentity -fuzztime=$(FUZZTIME)
 
 # Chaos packages: seeded fault/kill/corruption storms against the
 # artifact layer (in-process, injected filesystem faults) and the real

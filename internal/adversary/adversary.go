@@ -17,7 +17,6 @@ import (
 	"fmt"
 
 	"repro/internal/pa"
-	"repro/internal/prob"
 )
 
 // Adversary resolves nondeterministic choices of a probabilistic automaton
@@ -131,23 +130,9 @@ func Validate[S comparable](m *pa.Automaton[S], a Adversary[S], frag *pa.Fragmen
 		return nil
 	}
 	for _, enabled := range m.Steps(frag.Last()) {
-		if enabled.Action == step.Action && distEqual(enabled.Next, step.Next) {
+		if enabled.Action == step.Action && enabled.Next.Equal(step.Next) {
 			return nil
 		}
 	}
 	return fmt.Errorf("adversary: step %q not enabled in state %v", step.Action, frag.Last())
-}
-
-// distEqual reports whether two distributions assign identical
-// probabilities to identical supports.
-func distEqual[S comparable](a, b prob.Dist[S]) bool {
-	if a.Len() != b.Len() {
-		return false
-	}
-	for _, v := range a.Support() {
-		if !a.P(v).Equal(b.P(v)) {
-			return false
-		}
-	}
-	return true
 }

@@ -132,9 +132,17 @@ func CheckedPremise[S comparable](m *mdp.MDP, ix *mdp.Index[S], st Statement[S],
 	if err != nil {
 		return nil, r, err
 	}
-	if !r.Holds {
-		return nil, r, fmt.Errorf("core: statement %s fails: worst-case P = %v at %v", st, r.WorstProb, r.WorstState)
-	}
-	p, err := Premise(st, fmt.Sprintf("%s; measured worst-case P = %v", origin, r.WorstProb))
+	p, err := PremiseFromResult(r, origin)
 	return p, r, err
+}
+
+// PremiseFromResult wraps an already checked statement as a premise whose
+// note records the measured worst case. It fails when the check did not
+// hold, so callers that checked a chain once can build the proof from the
+// results without re-solving.
+func PremiseFromResult[S comparable](r CheckResult[S], origin string) (*Proof[S], error) {
+	if !r.Holds {
+		return nil, fmt.Errorf("core: statement %s fails: worst-case P = %v at %v", r.Stmt, r.WorstProb, r.WorstState)
+	}
+	return Premise(r.Stmt, fmt.Sprintf("%s; measured worst-case P = %v", origin, r.WorstProb))
 }

@@ -57,6 +57,38 @@ func TestCheckedPremise(t *testing.T) {
 	}
 }
 
+// TestPremiseFromResult pins that CheckedPremise is CheckStatement plus
+// PremiseFromResult: the same note, and a failing result refused.
+func TestPremiseFromResult(t *testing.T) {
+	sc := scriptFixture(t, true)
+	a := listSet("A", 0)
+	d := listSet("D", 3)
+
+	want, _, err := CheckedPremise(sc.Model, sc.Index, stmt(a, d, "3", "1"), "toy chain")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := CheckStatement(sc.Model, sc.Index, stmt(a, d, "3", "1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := PremiseFromResult(r, "toy chain")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Note != want.Note || p.Rule != RulePremise || p.Stmt.String() != want.Stmt.String() {
+		t.Errorf("PremiseFromResult = %+v, CheckedPremise = %+v", p, want)
+	}
+
+	r, err = CheckStatement(sc.Model, sc.Index, stmt(a, d, "1", "1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := PremiseFromResult(r, "false"); err == nil || !strings.Contains(err.Error(), "fails") {
+		t.Errorf("failing result accepted or wrong error: %v", err)
+	}
+}
+
 func TestIntTimeBounds(t *testing.T) {
 	if _, err := intTime(prob.MustParseRat("1000000000000")); err == nil {
 		t.Error("absurd time bound accepted")

@@ -9,6 +9,7 @@ package dining
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/mdp"
@@ -35,6 +36,12 @@ type Analysis struct {
 	Schema core.SchemaInfo
 
 	sets map[string]core.Set[PState]
+
+	// The five-arrow chain, solved once: the MDP is immutable, so
+	// CheckPaperChain and BuildPaperProof share one set of results.
+	chainOnce sync.Once
+	chain     []core.CheckResult[PState]
+	chainErr  error
 }
 
 // NewAnalysis enumerates the n-process ring under the k-steps-per-window
@@ -198,21 +205,28 @@ func (a *Analysis) ComposedStatement() core.Statement[PState] {
 }
 
 // CheckPaperChain checks the five arrows against the enumerated model and
-// returns the results in proof order.
+// returns the results in proof order. The arrows are solved on the first
+// call; later calls, and BuildPaperProof, reuse the results.
 func (a *Analysis) CheckPaperChain() ([]core.CheckResult[PState], error) {
-	return core.CheckAll(a.MDP, a.Index, a.PaperStatements()...)
+	a.chainOnce.Do(func() {
+		a.chain, a.chainErr = core.CheckAll(a.MDP, a.Index, a.PaperStatements()...)
+	})
+	return append([]core.CheckResult[PState](nil), a.chain...), a.chainErr
 }
 
 // BuildPaperProof reproduces the Section 6.2 derivation: each premise is
 // checked against the model, weakened per Proposition 3.2 so the chain
 // connects, and composed by Theorem 3.4 into T --13,1/8--> C.
 func (a *Analysis) BuildPaperProof() (*core.Proof[PState], error) {
-	stmts := a.PaperStatements()
+	results, err := a.CheckPaperChain()
+	if err != nil {
+		return nil, err
+	}
 	origins := PaperStatementOrigins()
 
-	premises := make([]*core.Proof[PState], len(stmts))
-	for i, st := range stmts {
-		p, _, err := core.CheckedPremise(a.MDP, a.Index, st, origins[i])
+	premises := make([]*core.Proof[PState], len(results))
+	for i, r := range results {
+		p, err := core.PremiseFromResult(r, origins[i])
 		if err != nil {
 			return nil, err
 		}

@@ -2,6 +2,7 @@ package dining
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -86,6 +87,56 @@ func TestBuildPaperProof(t *testing.T) {
 	for _, want := range []string{"T --13,1/8--> C", "compose (Thm 3.4)", "Proposition A.11", "weaken (Prop 3.2)"} {
 		if !strings.Contains(rendered, want) {
 			t.Errorf("rendered proof missing %q:\n%s", want, rendered)
+		}
+	}
+}
+
+// TestPaperChainSolvedOnce pins the memoized chain: concurrent first
+// calls share one solve, repeated calls return the values a direct check
+// computes, a caller editing its copy cannot corrupt later calls, and the
+// proof's premises record those values.
+func TestPaperChainSolvedOnce(t *testing.T) {
+	a, err := NewAnalysis(3, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	firsts := make([][]core.CheckResult[PState], 4)
+	errs := make([]error, len(firsts))
+	for i := range firsts {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			firsts[i], errs[i] = a.CheckPaperChain()
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	firsts[0][0].Holds, firsts[0][0].WorstProb = false, prob.Zero()
+	again, err := a.CheckPaperChain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	proof, err := a.BuildPaperProof()
+	if err != nil {
+		t.Fatal(err)
+	}
+	premises := proof.Premises()
+	for i, st := range a.PaperStatements() {
+		want, err := core.CheckStatement(a.MDP, a.Index, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := again[i]; got.Holds != want.Holds || !got.WorstProb.Equal(want.WorstProb) {
+			t.Errorf("%s: memoized %v (holds=%t), direct %v (holds=%t)", st, got.WorstProb, got.Holds, want.WorstProb, want.Holds)
+		}
+		note := "measured worst-case P = " + want.WorstProb.String()
+		if !strings.Contains(premises[i].Note, note) {
+			t.Errorf("premise %d note %q lacks %q", i, premises[i].Note, note)
 		}
 	}
 }

@@ -16,10 +16,11 @@ package mdp
 // contiguous range branchRow[choiceRow[s]] : branchRow[choiceRow[s+1]] —
 // the graph analyses walk that single flat range per state, with no
 // per-pop allocation (the fix for the old successors() helper). Branch
-// probabilities are kept twice: as float64 for value iteration and as
-// prob.Rat for the exact DP — the Rat array costs one pointer per branch
-// (prob.Rat shares its immutable *big.Rat across copies), so carrying it
-// to millions of branches is cheap.
+// probabilities are kept twice: as float64 for value iteration and, for
+// the exact DP, as a uint32 index into a per-CSR table of the distinct
+// prob.Rat values. A model has few distinct branch probabilities (coin
+// flips, uniform choices), so the exact form costs 4 bytes per branch
+// plus a table of a handful of entries, not a 24-byte Rat per branch.
 //
 // Parallelism. The sparse solvers sweep states with per-worker contiguous
 // row ranges (parallelFor). Determinism for any worker count is by
@@ -35,6 +36,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"unsafe"
 
 	"repro/internal/prob"
 )
@@ -66,14 +68,15 @@ func (b bitset) count() int {
 // memoized behind sync.Once.
 type CSR struct {
 	n         int
-	choiceRow []int32 // len n+1; choices of state s
-	branchRow []int32 // len NumChoices()+1; branches of choice c
-	col       []int32 // branch targets
-	pf        []float64 // branch probabilities, float64
-	pr        []prob.Rat // branch probabilities, exact
-	tick      bitset    // per choice
-	labelID   []int32   // per choice, index into labels
-	labels    []string  // interned choice labels, first-seen order
+	choiceRow []int32    // len n+1; choices of state s
+	branchRow []int32    // len NumChoices()+1; branches of choice c
+	col       []int32    // branch targets
+	pf        []float64  // branch probabilities, float64
+	pi        []uint32   // branch probabilities, exact: indices into pt
+	pt        []prob.Rat // distinct exact branch probabilities, first-seen order
+	tick      bitset     // per choice
+	labelID   []int32    // per choice, index into labels
+	labels    []string   // interned choice labels, first-seen order
 
 	// Non-tick level schedule (nil until first use; levelErr records a
 	// Zeno cycle instead). order lists every state grouped by level,
@@ -103,6 +106,9 @@ func (c *CSR) NumBranches() int { return len(c.col) }
 // terminal reports whether state s has no choices.
 func (c *CSR) terminal(s int) bool { return c.choiceRow[s] == c.choiceRow[s+1] }
 
+// pr returns the exact probability of branch bi.
+func (c *CSR) pr(bi int32) prob.Rat { return c.pt[c.pi[bi]] }
+
 // label returns the label of choice ci.
 func (c *CSR) label(ci int32) string { return c.labels[c.labelID[ci]] }
 
@@ -123,8 +129,12 @@ func (c *CSR) MemFootprint() int64 {
 		int64(len(c.tick))*8 +
 		int64(len(c.col))*4 +
 		int64(len(c.pf))*8 +
-		int64(len(c.pr))*8
+		int64(len(c.pi))*4 +
+		int64(len(c.pt))*ratBytes
 }
+
+// ratBytes is the size of one probability-table entry.
+const ratBytes = int64(unsafe.Sizeof(prob.Rat{}))
 
 // csrFromChoices converts the slice-of-slices form into CSR. Labels are
 // interned in first-seen order, matching the explorer's interning so a
@@ -155,6 +165,10 @@ func csrFromChoices(n int, choices [][]Choice) *CSR {
 type csrBuilder struct {
 	c       *CSR
 	labelOf map[string]int32
+	// probOf interns branch probabilities into c.pt. Canonical Rats make
+	// equal inline values equal keys; a value too large for inline form
+	// keys by pointer, so at worst it takes an extra table entry.
+	probOf map[prob.Rat]uint32
 }
 
 func newCSRBuilder(nStates, nChoices, nBranches int) *csrBuilder {
@@ -164,10 +178,11 @@ func newCSRBuilder(nStates, nChoices, nBranches int) *csrBuilder {
 			branchRow: make([]int32, 1, nChoices+1),
 			col:       make([]int32, 0, nBranches),
 			pf:        make([]float64, 0, nBranches),
-			pr:        make([]prob.Rat, 0, nBranches),
+			pi:        make([]uint32, 0, nBranches),
 			labelID:   make([]int32, 0, nChoices),
 		},
 		labelOf: make(map[string]int32),
+		probOf:  make(map[prob.Rat]uint32),
 	}
 }
 
@@ -199,8 +214,14 @@ func (b *csrBuilder) addChoice(label string, tick bool) {
 // addBranch appends a probabilistic branch to the current choice.
 func (b *csrBuilder) addBranch(to int32, p prob.Rat) {
 	b.c.col = append(b.c.col, to)
-	b.c.pf = append(b.c.pf, p.Float64())
-	b.c.pr = append(b.c.pr, p)
+	id, ok := b.probOf[p]
+	if !ok {
+		id = uint32(len(b.c.pt))
+		b.c.pt = append(b.c.pt, p)
+		b.probOf[p] = id
+	}
+	b.c.pf = append(b.c.pf, b.c.pt[id].Float64())
+	b.c.pi = append(b.c.pi, id)
 	b.c.branchRow[len(b.c.branchRow)-1]++
 }
 
@@ -226,10 +247,11 @@ func (c *CSR) validate() error {
 				if to < 0 || int(to) >= c.n {
 					return fmt.Errorf("mdp: state %d choice %d targets out-of-range state %d", s, ci-c.choiceRow[s], to)
 				}
-				if c.pr[bi].Sign() <= 0 {
-					return fmt.Errorf("mdp: state %d choice %d has non-positive branch probability %v", s, ci-c.choiceRow[s], c.pr[bi])
+				p := c.pr(bi)
+				if p.Sign() <= 0 {
+					return fmt.Errorf("mdp: state %d choice %d has non-positive branch probability %v", s, ci-c.choiceRow[s], p)
 				}
-				total = total.Add(c.pr[bi])
+				total = total.Add(p)
 			}
 			if !total.IsOne() {
 				return fmt.Errorf("mdp: state %d choice %d branches sum to %v", s, ci-c.choiceRow[s], total)
@@ -517,8 +539,8 @@ func (c *CSR) Equal(o *CSR) error {
 		if c.col[bi] != o.col[bi] {
 			return fmt.Errorf("csr: branch %d targets %d vs %d", bi, c.col[bi], o.col[bi])
 		}
-		if !c.pr[bi].Equal(o.pr[bi]) {
-			return fmt.Errorf("csr: branch %d probability %v vs %v", bi, c.pr[bi], o.pr[bi])
+		if p, q := c.pr(int32(bi)), o.pr(int32(bi)); !p.Equal(q) {
+			return fmt.Errorf("csr: branch %d probability %v vs %v", bi, p, q)
 		}
 		if c.pf[bi] != o.pf[bi] {
 			return fmt.Errorf("csr: branch %d float probability %v vs %v", bi, c.pf[bi], o.pf[bi])

@@ -190,8 +190,8 @@ func ExplorePacked[S comparable, K comparable](auto *pa.Automaton[S], pack func(
 }
 
 // footprint estimates the builder's resident bytes mid-construction, for
-// the exploration budget (rationals carry one pointer per branch beyond
-// the shared *big.Rat values, counted like the finished CSR's arrays).
+// the exploration budget, counted like the finished CSR's arrays (exact
+// probabilities cost a 4-byte table index per branch plus the table).
 func (b *csrBuilder) footprint() int64 {
 	c := b.c
 	return int64(cap(c.choiceRow))*4 +
@@ -200,5 +200,6 @@ func (b *csrBuilder) footprint() int64 {
 		int64(cap(c.tick))*8 +
 		int64(cap(c.col))*4 +
 		int64(cap(c.pf))*8 +
-		int64(cap(c.pr))*8
+		int64(cap(c.pi))*4 +
+		int64(cap(c.pt))*ratBytes
 }

@@ -31,7 +31,7 @@ func (m *MDP) ExportTra(w io.Writer) error {
 		for ci := cLo; ci < c.choiceRow[s+1]; ci++ {
 			label := c.label(ci)
 			for bi := c.branchRow[ci]; bi < c.branchRow[ci+1]; bi++ {
-				if _, err := fmt.Fprintf(bw, "%d %d %d %s %s\n", s, ci-cLo, c.col[bi], c.pr[bi].String(), label); err != nil {
+				if _, err := fmt.Fprintf(bw, "%d %d %d %s %s\n", s, ci-cLo, c.col[bi], c.pr(bi).String(), label); err != nil {
 					return err
 				}
 			}

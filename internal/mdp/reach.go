@@ -105,7 +105,7 @@ func (c *CSR) optOneState(s int32, target []bool, goal Goal, cur, prev []prob.Ra
 				layer = prev
 			}
 			for bi := c.branchRow[ci]; bi < c.branchRow[ci+1]; bi++ {
-				v = v.Add(c.pr[bi].Mul(layer[c.col[bi]]))
+				v = v.Add(c.pr(bi).Mul(layer[c.col[bi]]))
 			}
 		}
 		// A tick at an exhausted horizon contributes probability zero of
@@ -154,7 +154,7 @@ func (m *MDP) ReachWithinSteps(target []bool, steps int, goal Goal) ([]prob.Rat,
 				for ci := cLo; ci < cHi; ci++ {
 					var v prob.Rat
 					for bi := c.branchRow[ci]; bi < c.branchRow[ci+1]; bi++ {
-						v = v.Add(c.pr[bi].Mul(prev[c.col[bi]]))
+						v = v.Add(c.pr(bi).Mul(prev[c.col[bi]]))
 					}
 					if ci == cLo || goal.better(v, best) {
 						best = v

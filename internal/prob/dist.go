@@ -18,9 +18,36 @@ var ErrNotADistribution = errors.New("prob: weights do not form a probability di
 // A Dist is immutable after construction. The zero value is an empty
 // distribution, which is not a valid probability space; distributions are
 // built with NewDist, Point, Uniform or Weighted.
+//
+// Weights live in a slice aligned with the support, with no per-value
+// map: most distributions in the framework have a handful of outcomes,
+// where a linear scan beats hashing and the Dist costs two allocations.
+// Construction dedupes by that same scan, so building from n outcomes
+// costs O(n·Len()).
 type Dist[T comparable] struct {
 	support []T
-	weight  map[T]Rat
+	weight  []Rat // weight[i] is the probability of support[i]
+}
+
+// distBuilder accumulates outcomes into a Dist, merging duplicate values
+// and keeping first-seen support order.
+type distBuilder[T comparable] struct {
+	d Dist[T]
+}
+
+// newDistBuilder returns a builder sized for up to n outcomes.
+func newDistBuilder[T comparable](n int) distBuilder[T] {
+	return distBuilder[T]{d: Dist[T]{support: make([]T, 0, n), weight: make([]Rat, 0, n)}}
+}
+
+// add adds p to v's weight, appending v to the support when it is new.
+func (b *distBuilder[T]) add(v T, p Rat) {
+	if i := b.d.index(v); i >= 0 {
+		b.d.weight[i] = b.d.weight[i].Add(p)
+		return
+	}
+	b.d.support = append(b.d.support, v)
+	b.d.weight = append(b.d.weight, p)
 }
 
 // Outcome pairs a value with its probability.
@@ -34,7 +61,7 @@ type Outcome[T comparable] struct {
 // It returns ErrNotADistribution when any weight is negative or the total
 // is not exactly one.
 func NewDist[T comparable](outcomes ...Outcome[T]) (Dist[T], error) {
-	d := Dist[T]{weight: make(map[T]Rat, len(outcomes))}
+	b := newDistBuilder[T](len(outcomes))
 	total := Zero()
 	for _, o := range outcomes {
 		if o.Prob.Sign() < 0 {
@@ -43,16 +70,13 @@ func NewDist[T comparable](outcomes ...Outcome[T]) (Dist[T], error) {
 		if o.Prob.IsZero() {
 			continue
 		}
-		if _, seen := d.weight[o.Value]; !seen {
-			d.support = append(d.support, o.Value)
-		}
-		d.weight[o.Value] = d.weight[o.Value].Add(o.Prob)
+		b.add(o.Value, o.Prob)
 		total = total.Add(o.Prob)
 	}
 	if !total.IsOne() {
 		return Dist[T]{}, fmt.Errorf("%w: total weight %v", ErrNotADistribution, total)
 	}
-	return d, nil
+	return b.d, nil
 }
 
 // MustDist is like NewDist but panics on invalid input. It is meant for
@@ -65,12 +89,13 @@ func MustDist[T comparable](outcomes ...Outcome[T]) Dist[T] {
 	return d
 }
 
+// pointWeight is the weight slice of every Point distribution; Dists
+// never mutate their weights, so one slice serves them all.
+var pointWeight = []Rat{oneRat}
+
 // Point returns the Dirac distribution concentrated on v.
 func Point[T comparable](v T) Dist[T] {
-	return Dist[T]{
-		support: []T{v},
-		weight:  map[T]Rat{v: One()},
-	}
+	return Dist[T]{support: []T{v}, weight: pointWeight}
 }
 
 // Uniform returns the uniform distribution over the given values. The
@@ -80,16 +105,14 @@ func Uniform[T comparable](values ...T) (Dist[T], error) {
 		return Dist[T]{}, fmt.Errorf("%w: empty support", ErrNotADistribution)
 	}
 	p := One().Div(FromInt(int64(len(values))))
-	outcomes := make([]Outcome[T], 0, len(values))
-	seen := make(map[T]bool, len(values))
+	b := newDistBuilder[T](len(values))
 	for _, v := range values {
-		if seen[v] {
+		if b.d.index(v) >= 0 {
 			return Dist[T]{}, fmt.Errorf("prob: Uniform with duplicate value %v", v)
 		}
-		seen[v] = true
-		outcomes = append(outcomes, Outcome[T]{Value: v, Prob: p})
+		b.add(v, p)
 	}
-	return NewDist(outcomes...)
+	return b.d, nil
 }
 
 // MustUniform is like Uniform but panics on invalid input.
@@ -124,8 +147,7 @@ func (d Dist[T]) IsValid() bool {
 		return false
 	}
 	total := Zero()
-	for _, v := range d.support {
-		w := d.weight[v]
+	for _, w := range d.weight {
 		if w.Sign() <= 0 {
 			return false
 		}
@@ -134,9 +156,48 @@ func (d Dist[T]) IsValid() bool {
 	return total.IsOne()
 }
 
+// index returns v's position in the support, or -1.
+func (d Dist[T]) index(v T) int {
+	for i, u := range d.support {
+		if u == v {
+			return i
+		}
+	}
+	return -1
+}
+
 // P returns the probability of v, which is zero when v is outside the
-// support.
-func (d Dist[T]) P(v T) Rat { return d.weight[v] }
+// support. It scans the support, so it costs O(Len()).
+func (d Dist[T]) P(v T) Rat {
+	if i := d.index(v); i >= 0 {
+		return d.weight[i]
+	}
+	return Rat{}
+}
+
+// Equal reports whether d and e are the same distribution: identical
+// supports with exactly equal probabilities, in any order. It compares
+// pairwise in support order and scans e only for values whose positions
+// differ, so it costs O(Len()) when both list the support in the same
+// order, as distributions built from the same outcomes do.
+func (d Dist[T]) Equal(e Dist[T]) bool {
+	if len(d.support) != len(e.support) {
+		return false
+	}
+	for i, v := range d.support {
+		w := d.weight[i]
+		if e.support[i] == v {
+			if !w.Equal(e.weight[i]) {
+				return false
+			}
+		} else if !w.Equal(e.P(v)) {
+			// Weights are positive, so a match also puts v in e's support;
+			// equal sizes then make the supports equal.
+			return false
+		}
+	}
+	return true
+}
 
 // IsPoint reports whether d is a Dirac distribution, and if so on which
 // value.
@@ -152,9 +213,9 @@ func (d Dist[T]) IsPoint() (T, bool) {
 // predicate, i.e. P[{v : pred(v)}].
 func (d Dist[T]) ProbOf(pred func(T) bool) Rat {
 	total := Zero()
-	for _, v := range d.support {
+	for i, v := range d.support {
 		if pred(v) {
-			total = total.Add(d.weight[v])
+			total = total.Add(d.weight[i])
 		}
 	}
 	return total
@@ -164,7 +225,7 @@ func (d Dist[T]) ProbOf(pred func(T) bool) Rat {
 func (d Dist[T]) Outcomes() []Outcome[T] {
 	out := make([]Outcome[T], len(d.support))
 	for i, v := range d.support {
-		out[i] = Outcome[T]{Value: v, Prob: d.weight[v]}
+		out[i] = Outcome[T]{Value: v, Prob: d.weight[i]}
 	}
 	return out
 }
@@ -172,25 +233,22 @@ func (d Dist[T]) Outcomes() []Outcome[T] {
 // Map applies f to every value in the support, merging values that f
 // identifies. The result is always a valid distribution when d is.
 func MapDist[T, U comparable](d Dist[T], f func(T) U) Dist[U] {
-	out := Dist[U]{weight: make(map[U]Rat, len(d.support))}
-	for _, v := range d.support {
-		u := f(v)
-		if _, seen := out.weight[u]; !seen {
-			out.support = append(out.support, u)
-		}
-		out.weight[u] = out.weight[u].Add(d.weight[v])
+	b := newDistBuilder[U](len(d.support))
+	for i, v := range d.support {
+		b.add(f(v), d.weight[i])
 	}
-	return out
+	return b.d
 }
 
 // Product returns the independent product distribution of a and b.
 func Product[T, U comparable](a Dist[T], b Dist[U]) Dist[Pair[T, U]] {
-	out := Dist[Pair[T, U]]{weight: make(map[Pair[T, U]]Rat, len(a.support)*len(b.support))}
-	for _, v := range a.support {
-		for _, w := range b.support {
-			pair := Pair[T, U]{First: v, Second: w}
-			out.support = append(out.support, pair)
-			out.weight[pair] = a.weight[v].Mul(b.weight[w])
+	// Distinct supports make every pair distinct: no dedupe needed.
+	n := len(a.support) * len(b.support)
+	out := Dist[Pair[T, U]]{support: make([]Pair[T, U], 0, n), weight: make([]Rat, 0, n)}
+	for i, v := range a.support {
+		for j, w := range b.support {
+			out.support = append(out.support, Pair[T, U]{First: v, Second: w})
+			out.weight = append(out.weight, a.weight[i].Mul(b.weight[j]))
 		}
 	}
 	return out
@@ -211,8 +269,8 @@ func (d Dist[T]) Pick(r float64) T {
 		panic("prob: Pick on empty distribution")
 	}
 	acc := 0.0
-	for _, v := range d.support {
-		acc += d.weight[v].Float64()
+	for i, v := range d.support {
+		acc += d.weight[i].Float64()
 		if r < acc {
 			return v
 		}
@@ -226,7 +284,7 @@ func (d Dist[T]) Pick(r float64) T {
 func (d Dist[T]) String() string {
 	parts := make([]string, len(d.support))
 	for i, v := range d.support {
-		parts[i] = fmt.Sprintf("%v:%v", v, d.weight[v])
+		parts[i] = fmt.Sprintf("%v:%v", v, d.weight[i])
 	}
 	sort.Strings(parts)
 	return "{" + strings.Join(parts, ", ") + "}"

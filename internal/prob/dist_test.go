@@ -244,3 +244,137 @@ func TestDistProperties(t *testing.T) {
 		}
 	})
 }
+
+// TestDistDedupe merges duplicates in small and large supports: every
+// value appears twice, the second time in reverse order, and must keep its
+// first-seen position with the summed weight — through NewDist, MapDist
+// and Uniform alike.
+func TestDistDedupe(t *testing.T) {
+	for _, n := range []int{15, 16, 17, 100} {
+		half := NewRat(1, int64(2*n))
+		var outs []Outcome[int]
+		for v := 0; v < n; v++ {
+			outs = append(outs, Outcome[int]{Value: v, Prob: half})
+		}
+		for v := n - 1; v >= 0; v-- {
+			outs = append(outs, Outcome[int]{Value: v, Prob: half})
+		}
+		d, err := NewDist(outs...)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		m := MapDist(MustUniform(seq(2*n)...), func(v int) int { return v % n })
+		for name, got := range map[string]Dist[int]{"NewDist": d, "MapDist": m} {
+			if got.Len() != n {
+				t.Fatalf("n=%d %s: support %d, want %d", n, name, got.Len(), n)
+			}
+			for i, v := range got.Support() {
+				if v != i {
+					t.Fatalf("n=%d %s: support[%d] = %d, want first-seen order", n, name, i, v)
+				}
+				if p := got.P(v); !p.Equal(NewRat(1, int64(n))) {
+					t.Fatalf("n=%d %s: P(%d) = %v, want 1/%d", n, name, v, p, n)
+				}
+			}
+			if !got.IsValid() {
+				t.Fatalf("n=%d %s: invalid", n, name)
+			}
+		}
+		if _, err := Uniform(append(seq(n), n-1)...); err == nil {
+			t.Fatalf("n=%d: Uniform accepted a duplicate", n)
+		}
+	}
+}
+
+func seq(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	return out
+}
+
+// TestDistFirstSeenOrder pins support order, which fixes every Outcomes,
+// Pick and Freeze order downstream.
+func TestDistFirstSeenOrder(t *testing.T) {
+	d := MustDist(
+		Outcome[string]{Value: "c", Prob: NewRat(1, 4)},
+		Outcome[string]{Value: "a", Prob: NewRat(1, 4)},
+		Outcome[string]{Value: "c", Prob: NewRat(1, 4)},
+		Outcome[string]{Value: "b", Prob: NewRat(1, 4)},
+	)
+	if got := d.Support(); len(got) != 3 || got[0] != "c" || got[1] != "a" || got[2] != "b" {
+		t.Fatalf("NewDist support = %v, want [c a b]", got)
+	}
+	outs := d.Outcomes()
+	if outs[0].Value != "c" || !outs[0].Prob.Equal(Half()) {
+		t.Fatalf("Outcomes()[0] = %v, want c:1/2", outs[0])
+	}
+	m := MapDist(d, func(s string) bool { return s == "a" })
+	if got := m.Support(); len(got) != 2 || got[0] != false || got[1] != true {
+		t.Fatalf("MapDist support = %v, want [false true]", got)
+	}
+	p := Product(d, MustUniform(2, 1))
+	want := []Pair[string, int]{{"c", 2}, {"c", 1}, {"a", 2}, {"a", 1}, {"b", 2}, {"b", 1}}
+	for i, pr := range p.Support() {
+		if pr != want[i] {
+			t.Fatalf("Product support = %v, want %v", p.Support(), want)
+		}
+		if got, w := p.P(pr), d.P(pr.First).Mul(Half()); !got.Equal(w) {
+			t.Fatalf("Product P(%v) = %v, want %v", pr, got, w)
+		}
+	}
+}
+
+func TestDistPOutsideSupport(t *testing.T) {
+	for _, d := range []Dist[int]{Point(1), MustUniform(1, 2, 3), MustUniform(seq(40)...), {}} {
+		if p := d.P(-1); !p.IsZero() || p != (Rat{}) {
+			t.Errorf("%v: P(-1) = %v, want 0", d, p)
+		}
+	}
+}
+
+func TestDistEqual(t *testing.T) {
+	d := MustDist(
+		Outcome[int]{Value: 1, Prob: NewRat(1, 4)},
+		Outcome[int]{Value: 2, Prob: NewRat(1, 4)},
+		Outcome[int]{Value: 3, Prob: Half()},
+	)
+	permuted := MustDist(
+		Outcome[int]{Value: 3, Prob: Half()},
+		Outcome[int]{Value: 1, Prob: NewRat(1, 4)},
+		Outcome[int]{Value: 2, Prob: NewRat(1, 4)},
+	)
+	otherWeight := MustDist(
+		Outcome[int]{Value: 1, Prob: Half()},
+		Outcome[int]{Value: 2, Prob: NewRat(1, 4)},
+		Outcome[int]{Value: 3, Prob: NewRat(1, 4)},
+	)
+	otherSupport := MustDist(
+		Outcome[int]{Value: 1, Prob: NewRat(1, 4)},
+		Outcome[int]{Value: 2, Prob: NewRat(1, 4)},
+		Outcome[int]{Value: 4, Prob: Half()},
+	)
+	for _, c := range []struct {
+		name string
+		e    Dist[int]
+		want bool
+	}{
+		{"same order", MapDist(d, func(v int) int { return v }), true},
+		{"permuted", permuted, true},
+		{"other weight", otherWeight, false},
+		{"other support", otherSupport, false},
+		{"smaller support", MustUniform(1, 2), false},
+		{"empty", Dist[int]{}, false},
+	} {
+		if got := d.Equal(c.e); got != c.want {
+			t.Errorf("%s: d.Equal = %v, want %v", c.name, got, c.want)
+		}
+		if got := c.e.Equal(d); got != c.want {
+			t.Errorf("%s: e.Equal(d) = %v, want %v", c.name, got, c.want)
+		}
+	}
+	if !(Dist[int]{}).Equal(Dist[int]{}) {
+		t.Error("empty distributions differ")
+	}
+}

@@ -2,13 +2,13 @@ package prob
 
 // Frozen is a pre-resolved sampler for a Dist: the cumulative float64
 // weights are computed once, at freeze time, so each draw costs a short
-// scan over a float slice — no big.Rat arithmetic and no map lookups.
+// scan over a float slice — no rational arithmetic per draw.
 // It is the sampler of the Monte Carlo hot path (internal/sim's
 // compiled-model layer), where the same distribution is sampled
 // millions of times.
 //
 // Pick is bit-identical to Dist.Pick for every r in [0, 1): the
-// cumulative weights are the exact same weight[v].Float64() values,
+// cumulative weights are the exact same weight[i].Float64() values,
 // accumulated in the same support order with the same float64 additions
 // Dist.Pick performs per draw, and the scan makes the same comparisons
 // in the same order. A seeded run therefore produces identical results
@@ -31,10 +31,10 @@ func Freeze[T comparable](d Dist[T]) Frozen[T] {
 	}
 	f.cum = make([]float64, len(d.support))
 	acc := 0.0
-	for i, v := range d.support {
+	for i, w := range d.weight {
 		// Exactly Dist.Pick's accumulation: the same Float64 conversions
 		// added in the same order, so every rounding decision matches.
-		acc += d.weight[v].Float64()
+		acc += w.Float64()
 		f.cum[i] = acc
 	}
 	return f

@@ -117,7 +117,7 @@ func hugeRat() Rat {
 	return r
 }
 
-// TestFrozenDegenerateWeights drives hand-built weight maps that are
+// TestFrozenDegenerateWeights drives hand-built weight slices that are
 // invalid as probability spaces but encounterable after Float64
 // rounding: the frozen scan must still agree with Dist.Pick, draw by
 // draw, through both Pick and PickIndex.
@@ -126,13 +126,13 @@ func TestFrozenDegenerateWeights(t *testing.T) {
 	cases := map[string]Dist[int]{
 		// Every weight rounds to zero: the scan falls through to the
 		// last element for every r.
-		"zero-total": {support: []int{0, 1, 2}, weight: map[int]Rat{0: tiny, 1: tiny, 2: tiny}},
+		"zero-total": {support: []int{0, 1, 2}, weight: []Rat{tiny, tiny, tiny}},
 		// A non-finite leading weight absorbs every draw at the scan.
-		"inf-first": {support: []int{0, 1}, weight: map[int]Rat{0: huge, 1: NewRat(1, 2)}},
+		"inf-first": {support: []int{0, 1}, weight: []Rat{huge, NewRat(1, 2)}},
 		// Half then an overflow: the scan splits at 1/2.
-		"inf-second": {support: []int{0, 1}, weight: map[int]Rat{0: NewRat(1, 2), 1: huge}},
+		"inf-second": {support: []int{0, 1}, weight: []Rat{NewRat(1, 2), huge}},
 		// Total far past one: the scan never reaches the clamped-out tail.
-		"over-unity": {support: []int{0, 1, 2}, weight: map[int]Rat{0: FromInt(1), 1: FromInt(1), 2: FromInt(1)}},
+		"over-unity": {support: []int{0, 1, 2}, weight: []Rat{FromInt(1), FromInt(1), FromInt(1)}},
 	}
 	for name, d := range cases {
 		fr := Freeze(d)

@@ -2,6 +2,7 @@ package prob
 
 import (
 	"encoding/json"
+	"math"
 	"math/big"
 	"testing"
 	"testing/quick"
@@ -281,6 +282,95 @@ func TestRatProperties(t *testing.T) {
 		}
 		if err := quick.Check(f, nil); err != nil {
 			t.Error(err)
+		}
+	})
+}
+
+// checkRat fails t unless x is the canonical Rat for the value want:
+// equal to it, inline exactly when the lowest-terms numerator and
+// denominator fit (with |num| <= MaxInt64), and Rat{} for zero. It
+// also checks String and Float64 (bit for bit) against math/big.
+func checkRat(t *testing.T, op string, x Rat, want *big.Rat) {
+	t.Helper()
+	if x.Big().Cmp(want) != 0 {
+		t.Fatalf("%s = %v, want %v", op, x, want.RatString())
+	}
+	num, den := want.Num(), want.Denom()
+	fits := num.IsInt64() && den.IsInt64() && num.Int64() != math.MinInt64
+	if inline := x.b == nil; inline != fits {
+		t.Fatalf("%s = %v: inline=%t, but fits int64=%t", op, x, inline, fits)
+	}
+	if want.Sign() == 0 && x != (Rat{}) {
+		t.Fatalf("%s: zero is %#v, not Rat{}", op, x)
+	}
+	if got, ref := x.String(), want.RatString(); got != ref {
+		t.Fatalf("%s: String %q, big.Rat %q", op, got, ref)
+	}
+	ref, _ := want.Float64()
+	if got := x.Float64(); math.Float64bits(got) != math.Float64bits(ref) {
+		t.Fatalf("%s = %v: Float64 %v (%#x), big.Rat %v (%#x)", op, x, got, math.Float64bits(got), ref, math.Float64bits(ref))
+	}
+}
+
+// FuzzRatOps checks every Rat operation against a math/big reference,
+// across the int64 overflow boundary: results must be equal as numbers,
+// canonical (so == agrees with Equal on inline values), and format and
+// round to float64 exactly as big.Rat does.
+func FuzzRatOps(f *testing.F) {
+	edges := []int64{0, 1, -1, math.MinInt64, math.MaxInt64,
+		1<<62 + 1, 1<<62 - 1, 1<<53 + 1, 1<<53 - 1, -(1<<53 + 1)}
+	for i, a := range edges {
+		for _, c := range edges[i:] {
+			f.Add(a, c, c, a)
+			f.Add(a, int64(3), c, int64(7))
+		}
+	}
+	// -2^62 + -2^62 = MinInt64 fits int64 but not the inline form.
+	f.Add(int64(-1<<62), int64(1), int64(-1<<62), int64(1))
+	f.Fuzz(func(t *testing.T, a, b, c, d int64) {
+		if b == 0 || d == 0 {
+			t.Skip("zero denominator")
+		}
+		x, y := NewRat(a, b), NewRat(c, d)
+		bx, by := big.NewRat(a, b), big.NewRat(c, d)
+		checkRat(t, "x", x, bx)
+		checkRat(t, "y", y, by)
+
+		// Products of two inline values reach 2^126, so the second round
+		// runs the big-fallback path and must re-canonicalize results that
+		// fit again (z/y == x).
+		z, bz := x.Mul(y), new(big.Rat).Mul(bx, by)
+		vals := []struct {
+			name string
+			r    Rat
+			b    *big.Rat
+		}{{"x", x, bx}, {"y", y, by}, {"x*y", z, bz}}
+		for _, p := range vals {
+			for _, q := range vals {
+				pq := p.name + "," + q.name
+				checkRat(t, "Add("+pq+")", p.r.Add(q.r), new(big.Rat).Add(p.b, q.b))
+				checkRat(t, "Sub("+pq+")", p.r.Sub(q.r), new(big.Rat).Sub(p.b, q.b))
+				checkRat(t, "Mul("+pq+")", p.r.Mul(q.r), new(big.Rat).Mul(p.b, q.b))
+				if q.b.Sign() != 0 {
+					checkRat(t, "Div("+pq+")", p.r.Div(q.r), new(big.Rat).Quo(p.b, q.b))
+				}
+				if got, want := p.r.Cmp(q.r), p.b.Cmp(q.b); got != want {
+					t.Fatalf("Cmp(%s) = %d, want %d", pq, got, want)
+				}
+				if got, want := p.r.Equal(q.r), p.b.Cmp(q.b) == 0; got != want {
+					t.Fatalf("Equal(%s) = %t, want %t", pq, got, want)
+				}
+				if p.r.b == nil && q.r.b == nil && (p.r == q.r) != p.r.Equal(q.r) {
+					t.Fatalf("%s: == disagrees with Equal on inline values", pq)
+				}
+			}
+			checkRat(t, "Neg("+p.name+")", p.r.Neg(), new(big.Rat).Neg(p.b))
+			if p.b.Sign() != 0 {
+				checkRat(t, "Inv("+p.name+")", p.r.Inv(), new(big.Rat).Inv(p.b))
+			}
+			if got, want := p.r.Sign(), p.b.Sign(); got != want {
+				t.Fatalf("Sign(%s) = %d, want %d", p.name, got, want)
+			}
 		}
 	})
 }

@@ -117,7 +117,7 @@ var _ sched.Model[int] = (*Compiled[int])(nil)
 // states, memoizes Moves/UserMoves per state and pre-resolves every
 // successor distribution into a float64 cumulative scan (prob.Frozen).
 // The result is bit-identical to m for any seed and worker count, while
-// the hot loop does no repeated model queries, no big.Rat arithmetic and
+// the hot loop does no repeated model queries, no rational arithmetic and
 // no per-draw map lookups. Models that implement sched.Packer[S] are
 // interned by their fixed-width packed encoding, keeping cache keys to a
 // few machine words.
@@ -350,9 +350,12 @@ func stepsEqual[S comparable](a, b []pa.Step[S]) bool {
 			return false
 		}
 		for j := range sa {
-			if sa[j] != sb[j] || !a[i].Next.P(sa[j]).Equal(b[i].Next.P(sb[j])) {
+			if sa[j] != sb[j] {
 				return false
 			}
+		}
+		if !a[i].Next.Equal(b[i].Next) {
+			return false
 		}
 	}
 	return true
