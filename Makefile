@@ -23,9 +23,11 @@
 #   trace-smoke simd local -trace-out | simtrace a traced run stopped emitting
 #                                                spans or simtrace lost the
 #                                                critical path
-#   mdp-smoke   lrcheck + dense-vs-CSR test      the on-the-fly explorer or a
-#                                                parallel sparse solver diverging
-#                                                from the dense reference
+#   mdp-smoke   lrcheck + every                  the on-the-fly explorer or a
+#                 TestExploreMatchesDense case   parallel sparse solver diverging
+#                                                from the dense test oracle on
+#                                                any case study, topology or
+#                                                rigged appendix product
 #   vuln        govulncheck (if installed)       known-vulnerable dependency use
 #
 # Performance regressions are gated separately by `make bench-diff`: it
@@ -211,7 +213,7 @@ trace-smoke:
 # EXPERIMENTS.md E22.
 mdp-smoke:
 	$(GO) run ./cmd/lrcheck -n 3 -k 1 -workers 2 >/dev/null && echo "mdp-smoke: lrcheck ok"
-	$(GO) test -run 'TestExploreMatchesDenseElection' -count=1 .
+	$(GO) test -run 'TestExploreMatchesDense' -count=1 .
 
 check: build vet test test-race bench-smoke chaos-smoke chaos-net-smoke fabric-smoke trace-smoke mdp-smoke vuln
 

@@ -52,13 +52,13 @@ func fixtures(b *testing.B) (*dining.Analysis, *dining.Analysis, *election.Analy
 	b.Helper()
 	lrOnce.Do(func() {
 		var err error
-		if lrK1, err = dining.NewAnalysis(3, 1, 0); err != nil {
+		if lrK1, err = dining.NewAnalysisOpts(3, 1, dining.Opts{}); err != nil {
 			b.Fatal(err)
 		}
-		if lrK2, err = dining.NewAnalysis(3, 2, 0); err != nil {
+		if lrK2, err = dining.NewAnalysisOpts(3, 2, dining.Opts{}); err != nil {
 			b.Fatal(err)
 		}
-		if elN3, err = election.NewAnalysis(3, 1, 0); err != nil {
+		if elN3, err = election.NewAnalysisOpts(3, 1, election.Opts{}); err != nil {
 			b.Fatal(err)
 		}
 	})
@@ -537,7 +537,7 @@ func BenchmarkWorstWitness(b *testing.B) {
 	}
 }
 
-// E-extra: cost of enumerating the digitized product itself (n=3, k=1).
+// E-extra: cost of exploring the digitized product itself (n=3, k=1).
 func BenchmarkEnumerateProduct(b *testing.B) {
 	model := dining.MustNew(3)
 	for i := 0; i < b.N; i++ {
@@ -545,7 +545,7 @@ func BenchmarkEnumerateProduct(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		m, _, err := mdp.FromAutomaton(auto, 0)
+		m, _, err := mdp.Explore(auto, mdp.ExploreOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

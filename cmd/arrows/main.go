@@ -70,7 +70,7 @@ func run(args []string) error {
 	}
 
 	fmt.Printf("binding model: Lehmann–Rabin n=%d, Unit-Time(k=%d)\n", *n, *k)
-	a, err := dining.NewAnalysis(*n, *k, 0)
+	a, err := dining.NewAnalysisOpts(*n, *k, dining.Opts{})
 	if err != nil {
 		return err
 	}

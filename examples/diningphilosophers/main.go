@@ -26,7 +26,7 @@ func main() {
 	log.SetPrefix("diningphilosophers: ")
 
 	// ----- exact worst case at n = 3 -----
-	a, err := dining.NewAnalysis(3, 1, 0)
+	a, err := dining.NewAnalysisOpts(3, 1, dining.Opts{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func main() {
 	log.SetPrefix("leaderelection: ")
 
 	for _, n := range []int{3, 4, 5} {
-		a, err := election.NewAnalysis(n, 1, 0)
+		a, err := election.NewAnalysisOpts(n, 1, election.Opts{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -55,7 +55,7 @@ func main() {
 	}
 
 	// The full derivation tree for n = 4.
-	a, err := election.NewAnalysis(4, 1, 0)
+	a, err := election.NewAnalysisOpts(4, 1, election.Opts{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func scriptFixture(t *testing.T, withModel bool) *Script[int] {
 				return prob.Zero()
 			},
 		}
-		m, ix, err := mdp.FromAutomaton(auto, 0)
+		m, ix, err := mdp.Explore(auto, mdp.ExploreOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

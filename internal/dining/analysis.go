@@ -44,64 +44,27 @@ type Analysis struct {
 	chainErr  error
 }
 
-// NewAnalysis enumerates the n-process ring under the k-steps-per-window
-// digitization with the dense enumerator. limit bounds the enumeration
-// (<= 0 for unlimited). For large rings use NewAnalysisOpts, which
-// explores on the fly into the sparse form.
-func NewAnalysis(n, k, limit int) (*Analysis, error) {
-	model, err := New(n)
-	if err != nil {
-		return nil, err
-	}
-	auto, err := sched.Product[State](model, sched.Config{StepsPerWindow: k})
-	if err != nil {
-		return nil, err
-	}
-	m, ix, err := mdp.FromAutomaton(auto, limit)
-	if err != nil {
-		return nil, fmt.Errorf("dining: enumerating product: %w", err)
-	}
-	return newAnalysis(n, k, model, m, ix), nil
-}
+// Opts configures on-the-fly exploration of the product space: the
+// state limit, the exploration and solver parallelism, and the explorer's
+// byte budget.
+type Opts = mdp.ExploreOptions
 
-// Opts configures on-the-fly enumeration of the product space.
-type Opts struct {
-	// Limit bounds the number of product states (<= 0 for unlimited).
-	Limit int
-	// Workers sets the exploration and solver parallelism: 0 means one
-	// worker per CPU. Any value yields identical results.
-	Workers int
-	// MemBudget bounds the explorer's resident bytes (<= 0 for
-	// unlimited); exceeding it fails with *mdp.BudgetError.
-	MemBudget int64
-}
-
-// NewAnalysisOpts is NewAnalysis built by the on-the-fly CSR explorer:
-// the model is compiled so exploration shares the Monte Carlo engine's
+// NewAnalysisOpts explores the n-process ring under the
+// k-steps-per-window digitization with the on-the-fly CSR explorer: the
+// model is compiled so exploration shares the Monte Carlo engine's
 // sharded transition cache, product states are interned by their packed
-// fingerprints, and the resulting MDP carries only the sparse form, with
-// every solver running opts.Workers wide. The state numbering — and
-// therefore every analysis result — is identical to NewAnalysis.
+// fingerprints, and every solver runs opts.Workers wide.
 func NewAnalysisOpts(n, k int, opts Opts) (*Analysis, error) {
 	model, err := New(n)
 	if err != nil {
 		return nil, err
 	}
-	compiled := sim.Compile[State](model)
-	auto, err := sched.Product[State](compiled, sched.Config{StepsPerWindow: k})
+	auto, err := sched.Product[State](sim.Compile[State](model), sched.Config{StepsPerWindow: k})
 	if err != nil {
 		return nil, err
 	}
-	eo := mdp.ExploreOptions{Workers: opts.Workers, MemBudget: opts.MemBudget, Limit: opts.Limit}
-	var (
-		m  *mdp.MDP
-		ix *mdp.Index[PState]
-	)
-	if pack, ok := sched.ProductPacker[State](model); ok {
-		m, ix, err = mdp.ExplorePacked(auto, pack, eo)
-	} else {
-		m, ix, err = mdp.Explore(auto, eo)
-	}
+	pack, _ := sched.ProductPacker[State](model) // Model is a sched.Packer (pack.go)
+	m, ix, err := mdp.ExplorePacked(auto, pack, opts)
 	if err != nil {
 		return nil, fmt.Errorf("dining: exploring product: %w", err)
 	}

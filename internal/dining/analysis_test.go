@@ -17,7 +17,7 @@ var analysisN3 *Analysis
 func getAnalysisN3(t *testing.T) *Analysis {
 	t.Helper()
 	if analysisN3 == nil {
-		a, err := NewAnalysis(3, 1, 0)
+		a, err := NewAnalysisOpts(3, 1, Opts{})
 		if err != nil {
 			t.Fatalf("NewAnalysis: %v", err)
 		}
@@ -96,7 +96,7 @@ func TestBuildPaperProof(t *testing.T) {
 // computes, a caller editing its copy cannot corrupt later calls, and the
 // proof's premises record those values.
 func TestPaperChainSolvedOnce(t *testing.T) {
-	a, err := NewAnalysis(3, 1, 0)
+	a, err := NewAnalysisOpts(3, 1, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}

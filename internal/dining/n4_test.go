@@ -14,7 +14,7 @@ func TestPaperChainHoldsN4(t *testing.T) {
 	if testing.Short() {
 		t.Skip("n=4 exact checking takes ~40s; skipped with -short")
 	}
-	a, err := NewAnalysis(4, 1, 0)
+	a, err := NewAnalysisOpts(4, 1, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func NewGeneralAnalysis(t Topology, k, limit int) (*GeneralAnalysis, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, ix, err := mdp.FromAutomaton(auto, limit)
+	m, ix, err := mdp.Explore(auto, mdp.ExploreOptions{Limit: limit})
 	if err != nil {
 		return nil, fmt.Errorf("dining: enumerating %s product: %w", t.Name, err)
 	}

@@ -12,7 +12,7 @@ var analysisN3 *Analysis
 func getAnalysisN3(t *testing.T) *Analysis {
 	t.Helper()
 	if analysisN3 == nil {
-		a, err := NewAnalysis(3, 1, 0)
+		a, err := NewAnalysisOpts(3, 1, Opts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +103,7 @@ func TestBuildProofN5(t *testing.T) {
 	if testing.Short() {
 		t.Skip("n=5 election enumeration skipped with -short")
 	}
-	a, err := NewAnalysis(5, 1, 0)
+	a, err := NewAnalysisOpts(5, 1, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package liveness
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/dining"
@@ -18,7 +19,7 @@ func TestLehmannRabinBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, ix, err := mdp.FromAutomaton(auto, 0)
+	m, ix, err := mdp.Explore(auto, mdp.ExploreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,5 +55,37 @@ func TestLehmannRabinBaseline(t *testing.T) {
 			t.Error("synthesis failed yet no avoid states exist")
 		}
 		t.Logf("synthesis stuck, as expected: %d avoid states (idle configurations)", n)
+	}
+}
+
+// TestRankOnExploredAnalysis runs the rank certificates on the MDP the
+// analysis constructor explores (CSR only): synthesis succeeds exactly
+// when almost-sure progress holds from every state, and a rank of one on
+// every non-target state is stuck wherever a choice cannot enter C at
+// once.
+func TestRankOnExploredAnalysis(t *testing.T) {
+	a, err := dining.NewAnalysisOpts(2, 1, dining.Opts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := a.MDP
+	target := a.Index.Mask(sched.LiftPred(dining.InC))
+
+	rep, err := AlmostSure(m, target, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := SynthesizeRank(m, target); ok != rep.Holds {
+		t.Fatalf("synthesis ok = %t, almost-sure everywhere = %t", ok, rep.Holds)
+	}
+
+	rank := make([]int, m.NumStates)
+	for s := range rank {
+		if !target[s] {
+			rank[s] = 1
+		}
+	}
+	if err := VerifyRank(m, target, rank); !errors.Is(err, ErrRankStuck) {
+		t.Fatalf("VerifyRank(flat rank) = %v, want ErrRankStuck", err)
 	}
 }

@@ -105,17 +105,8 @@ func VerifyRank(m *mdp.MDP, target []bool, rank []int) error {
 		if m.Terminal(s) {
 			return fmt.Errorf("%w: state %d", ErrRankTerminal, s)
 		}
-		for ci, c := range m.Choices[s] {
-			ok := false
-			for _, tr := range c.Branches {
-				if rank[tr.To] < rank[s] {
-					ok = true
-					break
-				}
-			}
-			if !ok {
-				return fmt.Errorf("%w: state %d choice %d (%s)", ErrRankStuck, s, ci, c.Label)
-			}
+		if ci, label := m.ChoiceWithout(s, func(to int) bool { return rank[to] < rank[s] }); ci >= 0 {
+			return fmt.Errorf("%w: state %d choice %d (%s)", ErrRankStuck, s, ci, label)
 		}
 	}
 	return nil
@@ -139,25 +130,12 @@ func SynthesizeRank(m *mdp.MDP, target []bool) (rank []int, ok bool) {
 	}
 	for r := 1; ; r++ {
 		changed := false
+		lower := func(to int) bool { return rank[to] != unranked && rank[to] < r }
 		for s := 0; s < m.NumStates; s++ {
 			if rank[s] != unranked || m.Terminal(s) {
 				continue
 			}
-			qualifies := true
-			for _, c := range m.Choices[s] {
-				found := false
-				for _, tr := range c.Branches {
-					if rank[tr.To] != unranked && rank[tr.To] < r {
-						found = true
-						break
-					}
-				}
-				if !found {
-					qualifies = false
-					break
-				}
-			}
-			if qualifies {
+			if ci, _ := m.ChoiceWithout(s, lower); ci < 0 {
 				rank[s] = r
 				changed = true
 			}

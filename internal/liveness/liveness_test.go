@@ -8,6 +8,15 @@ import (
 	"repro/internal/prob"
 )
 
+// mustNew builds a hand-written test MDP through mdp.New.
+func mustNew(choices [][]mdp.Choice) *mdp.MDP {
+	m, err := mdp.New(choices)
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
 func mask(n int, targets ...int) []bool {
 	out := make([]bool, n)
 	for _, t := range targets {
@@ -23,7 +32,7 @@ func geometricMDP() *mdp.MDP {
 		{To: 1, P: prob.Half()},
 		{To: 0, P: prob.Half()},
 	}}
-	return &mdp.MDP{NumStates: 4, Choices: [][]mdp.Choice{
+	return mustNew([][]mdp.Choice{
 		{flip},
 		nil,
 		{
@@ -31,7 +40,7 @@ func geometricMDP() *mdp.MDP {
 			{Label: "bad", Branches: []mdp.Tr{{To: 3, P: prob.One()}}},
 		},
 		{{Label: "stay", Branches: []mdp.Tr{{To: 3, P: prob.One()}}}},
-	}}
+	})
 }
 
 func TestAlmostSure(t *testing.T) {
@@ -74,10 +83,10 @@ func TestAlmostSureShapeErrors(t *testing.T) {
 
 func TestVerifyRank(t *testing.T) {
 	// Two-state geometric fragment only (no escape).
-	m := &mdp.MDP{NumStates: 2, Choices: [][]mdp.Choice{
+	m := mustNew([][]mdp.Choice{
 		{{Label: "flip", Branches: []mdp.Tr{{To: 1, P: prob.Half()}, {To: 0, P: prob.Half()}}}},
 		nil,
-	}}
+	})
 	target := mask(2, 1)
 	if err := VerifyRank(m, target, []int{1, 0}); err != nil {
 		t.Errorf("valid certificate rejected: %v", err)
@@ -104,23 +113,23 @@ func TestVerifyRank(t *testing.T) {
 
 func TestVerifyRankStuckChoice(t *testing.T) {
 	// State 0's "spin" choice never decreases rank.
-	m := &mdp.MDP{NumStates: 2, Choices: [][]mdp.Choice{
+	m := mustNew([][]mdp.Choice{
 		{
 			{Label: "go", Branches: []mdp.Tr{{To: 1, P: prob.One()}}},
 			{Label: "spin", Branches: []mdp.Tr{{To: 0, P: prob.One()}}},
 		},
 		nil,
-	}}
+	})
 	if err := VerifyRank(m, mask(2, 1), []int{1, 0}); !errors.Is(err, ErrRankStuck) {
 		t.Errorf("err = %v, want ErrRankStuck", err)
 	}
 }
 
 func TestVerifyRankTerminal(t *testing.T) {
-	m := &mdp.MDP{NumStates: 2, Choices: [][]mdp.Choice{
+	m := mustNew([][]mdp.Choice{
 		nil, // non-target terminal
 		nil,
-	}}
+	})
 	if err := VerifyRank(m, mask(2, 1), []int{1, 0}); !errors.Is(err, ErrRankTerminal) {
 		t.Errorf("err = %v, want ErrRankTerminal", err)
 	}
@@ -129,11 +138,11 @@ func TestVerifyRankTerminal(t *testing.T) {
 func TestSynthesizeRank(t *testing.T) {
 	t.Run("succeeds on almost-sure system", func(t *testing.T) {
 		// 0 flips toward 1; 2 cycles through 0.
-		m := &mdp.MDP{NumStates: 3, Choices: [][]mdp.Choice{
+		m := mustNew([][]mdp.Choice{
 			{{Label: "flip", Branches: []mdp.Tr{{To: 1, P: prob.Half()}, {To: 2, P: prob.Half()}}}},
 			nil,
 			{{Label: "back", Branches: []mdp.Tr{{To: 0, P: prob.One()}}}},
-		}}
+		})
 		target := mask(3, 1)
 		rank, ok := SynthesizeRank(m, target)
 		if !ok {
@@ -159,7 +168,7 @@ func TestSynthesisAgreesWithAlmostSure(t *testing.T) {
 		s := seed
 		next := func(n int) int { s = s*1664525 + 1013904223; return int(s>>16) % n }
 		const n = 5
-		m := &mdp.MDP{NumStates: n, Choices: make([][]mdp.Choice, n)}
+		choices := make([][]mdp.Choice, n)
 		for st := 0; st < n-1; st++ {
 			for c := 0; c <= next(2); c++ {
 				a, b := next(n), next(n)
@@ -169,9 +178,10 @@ func TestSynthesisAgreesWithAlmostSure(t *testing.T) {
 				} else {
 					branches = []mdp.Tr{{To: a, P: prob.Half()}, {To: b, P: prob.Half()}}
 				}
-				m.Choices[st] = append(m.Choices[st], mdp.Choice{Label: "c", Branches: branches})
+				choices[st] = append(choices[st], mdp.Choice{Label: "c", Branches: branches})
 			}
 		}
+		m := mustNew(choices)
 		target := mask(n, n-1)
 		rank, ok := SynthesizeRank(m, target)
 		rep, err := AlmostSure(m, target, nil)

@@ -2,13 +2,10 @@ package mdp
 
 // This file is the sparse core of the exact engine: transitions stored in
 // compressed-sparse-row (CSR) form — flat int32 row-pointer/column arrays
-// plus parallel probability arrays, one contiguous allocation each —
-// instead of the per-state Choices/Branches slice-of-slices the package
-// grew up with. Both representations coexist: MDPs hand-built through the
-// Choices field (tests, small models) are converted lazily by MDP.CSR,
-// while the on-the-fly explorer (explore.go) emits CSR directly and never
-// materializes Choices. Every analysis in the package runs on the CSR
-// form, so callers see identical results whichever way the MDP was built.
+// plus parallel probability arrays, one contiguous allocation each. CSR is
+// the only form an MDP holds: the on-the-fly explorer (explore.go) emits
+// it directly, and New converts hand-built per-state choices through the
+// same builder, so both produce identical arrays for the same model.
 //
 // Layout. State s owns choices csr.choiceRow[s] : csr.choiceRow[s+1];
 // choice c owns branches csr.branchRow[c] : csr.branchRow[c+1]. Because
@@ -136,9 +133,9 @@ func (c *CSR) MemFootprint() int64 {
 // ratBytes is the size of one probability-table entry.
 const ratBytes = int64(unsafe.Sizeof(prob.Rat{}))
 
-// csrFromChoices converts the slice-of-slices form into CSR. Labels are
-// interned in first-seen order, matching the explorer's interning so a
-// densely built MDP and an explored one produce identical structures.
+// csrFromChoices converts per-state choices into CSR. Labels are interned
+// in first-seen order, matching the explorer's interning so a hand-built
+// MDP and an explored one produce identical structures.
 func csrFromChoices(n int, choices [][]Choice) *CSR {
 	numChoices, numBranches := 0, 0
 	for _, cs := range choices {
@@ -153,15 +150,19 @@ func csrFromChoices(n int, choices [][]Choice) *CSR {
 		for _, ch := range cs {
 			b.addChoice(ch.Label, ch.Tick)
 			for _, tr := range ch.Branches {
-				b.addBranch(int32(tr.To), tr.P)
+				to := int32(tr.To)
+				if int(to) != tr.To {
+					to = -1 // beyond int32, so out of range: validate rejects it
+				}
+				b.addBranch(to, tr.P)
 			}
 		}
 	}
 	return b.finish()
 }
 
-// csrBuilder accumulates a CSR row by row. The explorer and the Choices
-// converter both drive it, guaranteeing one canonical construction order.
+// csrBuilder accumulates a CSR row by row. The explorer and New both drive
+// it, guaranteeing one canonical construction order.
 type csrBuilder struct {
 	c       *CSR
 	labelOf map[string]int32
@@ -236,7 +237,7 @@ func (b *csrBuilder) finish() *CSR {
 	return c
 }
 
-// validate checks the CSR invariants mirrored from MDP.Validate: targets
+// validate checks the CSR invariants behind New and MDP.Validate: targets
 // in range and exact branch probabilities summing to one per choice.
 func (c *CSR) validate() error {
 	for s := 0; s < c.n; s++ {
@@ -504,9 +505,9 @@ func (c *CSR) reverse() ([]int32, []int32) {
 
 // Equal reports whether two CSR structures are identical: same states,
 // choices, branches, tick marks, labels, successor columns, and exact
-// branch probabilities, position for position. The dense-vs-explored
-// equality tests and the mdp smoke check rest on it: the on-the-fly
-// explorer must reproduce the dense enumerator's arrays exactly. It
+// branch probabilities, position for position. The dense-oracle equality
+// tests and the mdp smoke check rest on it: the on-the-fly explorer must
+// reproduce a dense per-state enumeration's arrays exactly. It
 // returns nil on equality and a description of the first difference
 // otherwise.
 func (c *CSR) Equal(o *CSR) error {

@@ -7,23 +7,24 @@ import (
 	"repro/internal/prob"
 )
 
-// refReachWithinTicks is ReachWithinTicks computed directly in math/big,
-// for MDPs whose zero-duration edges all point to lower-numbered states
-// (so one ascending pass per tick layer respects the non-tick order).
-func refReachWithinTicks(m *MDP, target []bool, horizon int, goal Goal) []*big.Rat {
-	prev := make([]*big.Rat, m.NumStates)
+// refReachWithinTicks is ReachWithinTicks computed directly in math/big
+// over the per-state choices an MDP was built from, for MDPs whose
+// zero-duration edges all point to lower-numbered states (so one
+// ascending pass per tick layer respects the non-tick order).
+func refReachWithinTicks(choices [][]Choice, target []bool, horizon int, goal Goal) []*big.Rat {
+	prev := make([]*big.Rat, len(choices))
 	for s := range prev {
 		prev[s] = new(big.Rat)
 	}
 	for h := 0; h <= horizon; h++ {
-		cur := make([]*big.Rat, m.NumStates)
+		cur := make([]*big.Rat, len(choices))
 		for s := range cur {
 			cur[s] = new(big.Rat)
 			if target[s] {
 				cur[s].SetInt64(1)
 				continue
 			}
-			for ci, ch := range m.Choices[s] {
+			for ci, ch := range choices[s] {
 				v := new(big.Rat)
 				if !ch.Tick || h > 0 {
 					layer := cur
@@ -51,7 +52,7 @@ func refReachWithinTicks(m *MDP, target []bool, horizon int, goal Goal) []*big.R
 func TestReachWithinTicksBigFallback(t *testing.T) {
 	rare := prob.NewRat(1, 1<<62+1)
 	rare2 := prob.NewRat(1, 1<<62-1)
-	m := &MDP{NumStates: 4, Choices: [][]Choice{
+	choices := [][]Choice{
 		nil, // 0: target
 		{ // 1: two rare ticks; the adversary picks per goal
 			{Label: "rare", Tick: true, Branches: []Tr{{To: 0, P: rare}, {To: 1, P: prob.One().Sub(rare)}}},
@@ -64,7 +65,8 @@ func TestReachWithinTicksBigFallback(t *testing.T) {
 		{ // 3: a coin tick back into the rare states
 			tickCoin("coin", 2, 1),
 		},
-	}}
+	}
+	m := mustNew(choices)
 	target := mask(4, 0)
 	for _, goal := range []Goal{MinProb, MaxProb} {
 		for h := 0; h <= 6; h++ {
@@ -72,7 +74,7 @@ func TestReachWithinTicksBigFallback(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := refReachWithinTicks(m, target, h, goal)
+			want := refReachWithinTicks(choices, target, h, goal)
 			for s := range got {
 				if got[s].Big().Cmp(want[s]) != 0 {
 					t.Fatalf("goal %d horizon %d state %d: P = %v, want %v", goal, h, s, got[s], want[s].RatString())
@@ -95,11 +97,12 @@ func TestReachWithinTicksBigFallback(t *testing.T) {
 // (or pointer) per branch.
 func TestFootprintCountsProbabilityTable(t *testing.T) {
 	third := prob.NewRat(1, 3)
-	m := &MDP{NumStates: 3, Choices: [][]Choice{
+	choices := [][]Choice{
 		{tickCoin("a", 1, 2), tickCoin("b", 2, 0)},
 		{{Label: "c", Tick: true, Branches: []Tr{{To: 0, P: third}, {To: 1, P: third}, {To: 2, P: third}}}},
 		{tickTo("d", 0), tickCoin("e", 0, 1)},
-	}}
+	}
+	m := mustNew(choices)
 	c := m.CSR()
 	if got := len(c.pt); got != 3 {
 		t.Fatalf("probability table has %d entries, want 3 (1/2, 1/3, 1)", got)
@@ -114,7 +117,7 @@ func TestFootprintCountsProbabilityTable(t *testing.T) {
 	}
 
 	b := newCSRBuilder(0, 0, 0)
-	for _, cs := range m.Choices {
+	for _, cs := range choices {
 		b.startState()
 		for _, ch := range cs {
 			b.addChoice(ch.Label, ch.Tick)

@@ -9,10 +9,10 @@ import (
 
 func TestReachWithinTicksLayers(t *testing.T) {
 	// Geometric coin: layer h must equal 1 - 2^-h at state 0.
-	m := &MDP{NumStates: 2, Choices: [][]Choice{
+	m := mustNew([][]Choice{
 		{tickCoin("flip", 1, 0)},
 		nil,
-	}}
+	})
 	layers, err := m.ReachWithinTicksLayers(mask(2, 1), 5, MinProb)
 	if err != nil {
 		t.Fatal(err)
@@ -43,12 +43,12 @@ func TestReachWithinTicksLayers(t *testing.T) {
 
 func TestReachWithinTicksFloatAgreesWithExact(t *testing.T) {
 	// A small MDP mixing choices, coins and zero-duration moves.
-	m := &MDP{NumStates: 4, Choices: [][]Choice{
+	m := mustNew([][]Choice{
 		{tickCoin("flip", 1, 2), tickTo("delay", 0)},
 		{moveTo("go", 3)},
 		{tickCoin("retry", 3, 0)},
 		nil,
-	}}
+	})
 	target := mask(4, 3)
 	for _, goal := range []Goal{MinProb, MaxProb} {
 		for h := 0; h <= 8; h++ {
@@ -70,14 +70,14 @@ func TestReachWithinTicksFloatAgreesWithExact(t *testing.T) {
 }
 
 func TestReachWithinTicksFloatErrors(t *testing.T) {
-	m := &MDP{NumStates: 2, Choices: [][]Choice{
+	m := mustNew([][]Choice{
 		{moveTo("spin", 0)},
 		nil,
-	}}
+	})
 	if _, err := m.ReachWithinTicksFloat(mask(2, 1), 2, MinProb); err == nil {
 		t.Error("Zeno cycle accepted")
 	}
-	ok := &MDP{NumStates: 1, Choices: [][]Choice{nil}}
+	ok := mustNew([][]Choice{nil})
 	if _, err := ok.ReachWithinTicksFloat(mask(2, 0), 1, MinProb); err == nil {
 		t.Error("mismatched mask accepted")
 	}
@@ -90,11 +90,11 @@ func TestWorstWitness(t *testing.T) {
 	// 0: adversary picks between a coin (reaches target half the time)
 	// and a safe delay loop... make delay lead to a dead end so min play
 	// is forced through the coin, and the damning branch is the miss.
-	m := &MDP{NumStates: 3, Choices: [][]Choice{
+	m := mustNew([][]Choice{
 		{tickCoin("flip", 1, 2)},
 		nil, // target
 		{tickTo("stuck", 2)},
-	}}
+	})
 	target := mask(3, 1)
 	steps, err := m.WorstWitness(target, 4, 0, 0)
 	if err != nil {
@@ -113,10 +113,10 @@ func TestWorstWitness(t *testing.T) {
 }
 
 func TestWorstWitnessStopsAtTarget(t *testing.T) {
-	m := &MDP{NumStates: 2, Choices: [][]Choice{
+	m := mustNew([][]Choice{
 		{tickTo("go", 1)},
 		nil,
-	}}
+	})
 	steps, err := m.WorstWitness(mask(2, 1), 3, 0, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -137,10 +137,10 @@ func TestWorstWitnessStopsAtTarget(t *testing.T) {
 func TestWorstWitnessClockExpiry(t *testing.T) {
 	// The minimizing adversary's best move at budget 0 is to tick the
 	// clock out; the witness stops there.
-	m := &MDP{NumStates: 2, Choices: [][]Choice{
+	m := mustNew([][]Choice{
 		{tickTo("go", 1)},
 		nil,
-	}}
+	})
 	steps, err := m.WorstWitness(mask(2, 1), 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +151,7 @@ func TestWorstWitnessClockExpiry(t *testing.T) {
 }
 
 func TestWorstWitnessBadStart(t *testing.T) {
-	m := &MDP{NumStates: 1, Choices: [][]Choice{nil}}
+	m := mustNew([][]Choice{nil})
 	if _, err := m.WorstWitness(mask(1, 0), 1, 5, 0); err == nil {
 		t.Error("out-of-range start accepted")
 	}

@@ -2,23 +2,23 @@ package mdp
 
 // On-the-fly state-space generation: Explore walks a probabilistic
 // automaton frontier by frontier and emits the CSR transition structure
-// directly, never materializing the per-state Choices slices the dense
-// FromAutomaton path builds. Callers with large models pair it with a
-// fixed-width packed state encoding (ExplorePacked) so the interning map
-// keys are a few machine words — the same trick the Monte Carlo engine's
-// compiled cache plays — and pass a sim.Compile'd model into
-// sched.Product so every Steps call during exploration hits the
-// simulator's 64-way-sharded transition cache instead of re-deriving
-// moves the trial engine already knows.
+// directly. It is the package's only automaton-to-MDP builder. Callers
+// with large models pair it with a fixed-width packed state encoding
+// (ExplorePacked) so the interning map keys are a few machine words — the
+// same trick the Monte Carlo engine's compiled cache plays — and pass a
+// sim.Compile'd model into sched.Product so every Steps call during
+// exploration hits the simulator's 64-way-sharded transition cache
+// instead of re-deriving moves the trial engine already knows.
 //
 // Determinism. Exploration is parallel but the state numbering is not a
 // function of scheduling: each BFS level's successor sets are computed by
 // workers on contiguous frontier chunks, then interned by a single
 // sequential merge that scans the per-state results in frontier order.
 // The numbering is therefore exactly the breadth-first discovery order of
-// pa.Automaton.Reachable — an explored MDP and a densely enumerated one
-// are structurally identical arrays, which is what the dense-vs-CSR
-// equality tests pin.
+// pa.Automaton.Reachable, and the CSR arrays are exactly those of a dense
+// per-state enumeration over that order — what the dense-oracle equality
+// tests pin. Steps may be called from several goroutines at once, so it
+// must be safe for concurrent use (pure functions of the state are).
 
 import (
 	"errors"
@@ -58,16 +58,17 @@ type ExploreOptions struct {
 	// states plus the CSR under construction; exploration past the bound
 	// fails with a *BudgetError. <= 0 means unlimited.
 	MemBudget int64
-	// Limit bounds the number of states, mirroring FromAutomaton's limit
-	// argument; exploration past it fails with pa.ErrLimitExceeded.
-	// <= 0 means unlimited.
+	// Limit bounds the number of states, with pa.Automaton.Reachable's
+	// limit convention; exploration past it fails with
+	// pa.ErrLimitExceeded. <= 0 means unlimited.
 	Limit int
 }
 
 // Explore builds the MDP of auto's reachable space on the fly, interning
-// states by their own (comparable) value. The resulting MDP carries only
-// the CSR transition form (Choices stays nil); every analysis runs on it
-// unchanged. State numbering equals pa.Reachable discovery order.
+// states by their own (comparable) value. Actions of duration one become
+// tick choices, duration zero ordinary choices; any other duration fails
+// with ErrBadDuration. State numbering equals pa.Reachable discovery
+// order.
 func Explore[S comparable](auto *pa.Automaton[S], opts ExploreOptions) (*MDP, *Index[S], error) {
 	return ExplorePacked(auto, func(s S) S { return s }, opts)
 }

@@ -6,11 +6,11 @@ import (
 )
 
 func exportFixture() *MDP {
-	return &MDP{NumStates: 3, Choices: [][]Choice{
+	return mustNew([][]Choice{
 		{tickCoin("flip", 1, 2), moveTo("skip", 2)},
 		nil,
 		{tickTo("retry", 0)},
-	}}
+	})
 }
 
 func TestExportTra(t *testing.T) {

@@ -7,8 +7,9 @@
 // quantification becomes an optimization over the strategies of a finite
 // MDP: the adversary picks a choice in every state, probabilistic
 // transitions resolve the algorithm's coins, and time advances on choices
-// marked as ticks. This package enumerates such MDPs from probabilistic
-// automata and computes:
+// marked as ticks. This package explores such MDPs on the fly from
+// probabilistic automata (explore.go), stores them in compressed-sparse-row
+// form (csr.go), and computes:
 //
 //   - exact (rational) minimum and maximum probabilities of reaching a
 //     target within a tick horizon — the quantities compared against the
@@ -25,7 +26,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/pa"
 	"repro/internal/prob"
 )
 
@@ -38,7 +38,7 @@ type Tr struct {
 }
 
 // Choice is one nondeterministic alternative available to the adversary in
-// a state.
+// a state, as passed to New.
 type Choice struct {
 	// Label names the choice for diagnostics and strategy extraction.
 	Label string
@@ -48,18 +48,12 @@ type Choice struct {
 	Branches []Tr
 }
 
-// MDP is a finite Markov decision process. States are dense indices
-// 0..NumStates-1; Choices[s] lists the alternatives in state s (possibly
-// none, making s terminal).
-//
-// Choices is the construction API for hand-built and densely enumerated
-// MDPs; every analysis actually runs on the compressed-sparse-row form
-// returned by CSR, which is converted lazily from Choices on first use.
-// MDPs produced by the on-the-fly explorer (Explore) carry only the CSR
-// form and leave Choices nil; all analyses behave identically on either.
+// MDP is a finite Markov decision process in compressed-sparse-row form.
+// States are dense indices 0..NumStates-1; a state with no choices is
+// terminal. Production MDPs come from the on-the-fly explorer (Explore,
+// ExplorePacked); small hand-built ones from New.
 type MDP struct {
 	NumStates int
-	Choices   [][]Choice
 
 	// Workers sets the parallelism of the sparse solvers: 0 means one
 	// worker per available CPU. Any value produces bit-identical results;
@@ -67,63 +61,60 @@ type MDP struct {
 	// determinism tests.
 	Workers int
 
-	csrOnce sync.Once
-	csr     *CSR
+	csr *CSR
 }
 
-// CSR returns the sparse transition structure of the MDP, converting the
-// Choices form on first call. The result is immutable and shared; callers
-// must not modify Choices after the first analysis.
-func (m *MDP) CSR() *CSR {
-	m.csrOnce.Do(func() {
-		if m.csr == nil {
-			m.csr = csrFromChoices(m.NumStates, m.Choices)
-		}
-	})
-	return m.csr
+// New builds an MDP from explicit per-state choices: choices[s] lists the
+// alternatives of state s (possibly none). Branch targets must be in range
+// and each choice's branch probabilities positive and summing to one.
+func New(choices [][]Choice) (*MDP, error) {
+	csr := csrFromChoices(len(choices), choices)
+	if err := csr.validate(); err != nil {
+		return nil, err
+	}
+	return &MDP{NumStates: csr.n, csr: csr}, nil
 }
+
+// CSR returns the sparse transition structure of the MDP. The result is
+// immutable and shared.
+func (m *MDP) CSR() *CSR { return m.csr }
 
 // workers resolves the Workers field to a concrete worker count.
 func (m *MDP) workers() int { return resolveWorkers(m.Workers) }
 
-// Validate checks structural invariants: branch targets in range and
-// branch probabilities summing to one per choice.
+// Validate checks structural invariants: NumStates matching the
+// transition structure, branch targets in range and branch probabilities
+// summing to one per choice.
 func (m *MDP) Validate() error {
-	if m.Choices == nil && m.csr != nil {
-		if m.NumStates != m.csr.n {
-			return fmt.Errorf("mdp: NumStates %d != CSR states %d", m.NumStates, m.csr.n)
-		}
-		return m.csr.validate()
+	if m.NumStates != m.csr.n {
+		return fmt.Errorf("mdp: NumStates %d != CSR states %d", m.NumStates, m.csr.n)
 	}
-	if m.NumStates != len(m.Choices) {
-		return fmt.Errorf("mdp: NumStates %d != len(Choices) %d", m.NumStates, len(m.Choices))
-	}
-	for s, choices := range m.Choices {
-		for ci, c := range choices {
-			total := prob.Zero()
-			for _, tr := range c.Branches {
-				if tr.To < 0 || tr.To >= m.NumStates {
-					return fmt.Errorf("mdp: state %d choice %d targets out-of-range state %d", s, ci, tr.To)
-				}
-				if tr.P.Sign() <= 0 {
-					return fmt.Errorf("mdp: state %d choice %d has non-positive branch probability %v", s, ci, tr.P)
-				}
-				total = total.Add(tr.P)
-			}
-			if !total.IsOne() {
-				return fmt.Errorf("mdp: state %d choice %d branches sum to %v", s, ci, total)
-			}
-		}
-	}
-	return nil
+	return m.csr.validate()
 }
 
 // Terminal reports whether state s has no choices.
-func (m *MDP) Terminal(s int) bool {
-	if m.Choices == nil && m.csr != nil {
-		return m.csr.terminal(s)
+func (m *MDP) Terminal(s int) bool { return m.csr.terminal(s) }
+
+// ChoiceWithout returns the first choice of state s none of whose
+// branches leads to a state accepted by ok, as its position among the
+// choices of s and its label; ci is -1 when every choice of s has such a
+// branch. The liveness rank certificates are checked and built with it.
+func (m *MDP) ChoiceWithout(s int, ok func(to int) bool) (ci int, label string) {
+	c := m.csr
+	lo := c.choiceRow[s]
+	for ch := lo; ch < c.choiceRow[s+1]; ch++ {
+		found := false
+		for bi := c.branchRow[ch]; bi < c.branchRow[ch+1]; bi++ {
+			if ok(int(c.col[bi])) {
+				found = true
+				break
+			}
+		}
+		if !found {
+			return int(ch - lo), c.label(ch)
+		}
 	}
-	return len(m.Choices[s]) == 0
+	return -1, ""
 }
 
 // Index maps the comparable states of a probabilistic automaton to dense
@@ -146,11 +137,9 @@ func (ix *Index[S]) State(i int) S { return ix.states[i] }
 // ID returns the index of state s, if present.
 func (ix *Index[S]) ID(s S) (int, bool) {
 	ix.idOnce.Do(func() {
-		if ix.id == nil {
-			ix.id = make(map[S]int, len(ix.states))
-			for i, st := range ix.states {
-				ix.id[st] = i
-			}
+		ix.id = make(map[S]int, len(ix.states))
+		for i, st := range ix.states {
+			ix.id[st] = i
 		}
 	})
 	i, ok := ix.id[s]
@@ -180,51 +169,3 @@ func (ix *Index[S]) Mask(pred func(S) bool) []bool {
 // ErrBadDuration is returned when an automaton uses action durations other
 // than zero and one; the tick-based MDP analyses require unit time steps.
 var ErrBadDuration = errors.New("mdp: action duration must be 0 or 1")
-
-// FromAutomaton enumerates the reachable states of m (with pa.Reachable
-// semantics and the given limit) and converts its transition structure to
-// an MDP. Actions of duration one become tick choices; duration zero,
-// ordinary choices; any other duration is rejected.
-func FromAutomaton[S comparable](m *pa.Automaton[S], limit int) (*MDP, *Index[S], error) {
-	states, err := m.Reachable(limit)
-	if err != nil {
-		return nil, nil, err
-	}
-	ix := &Index[S]{states: states, id: make(map[S]int, len(states))}
-	for i, s := range states {
-		ix.id[s] = i
-	}
-
-	mm := &MDP{NumStates: len(states), Choices: make([][]Choice, len(states))}
-	for i, s := range states {
-		steps := m.Steps(s)
-		if len(steps) == 0 {
-			continue
-		}
-		choices := make([]Choice, 0, len(steps))
-		for _, step := range steps {
-			d := m.DurationOf(step.Action)
-			var tick bool
-			switch {
-			case d.IsZero():
-				tick = false
-			case d.IsOne():
-				tick = true
-			default:
-				return nil, nil, fmt.Errorf("%w: action %q has duration %v", ErrBadDuration, step.Action, d)
-			}
-			outs := step.Next.Outcomes()
-			branches := make([]Tr, 0, len(outs))
-			for _, o := range outs {
-				j, ok := ix.id[o.Value]
-				if !ok {
-					return nil, nil, fmt.Errorf("mdp: successor of %v via %q not enumerated", s, step.Action)
-				}
-				branches = append(branches, Tr{To: j, P: o.Prob})
-			}
-			choices = append(choices, Choice{Label: step.Action, Tick: tick, Branches: branches})
-		}
-		mm.Choices[i] = choices
-	}
-	return mm, ix, nil
-}

@@ -36,53 +36,79 @@ func tickCoin(label string, a, b int) Choice {
 	}}
 }
 
+// mustNew builds a hand-written test MDP through New.
+func mustNew(choices [][]Choice) *MDP {
+	m, err := New(choices)
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
+// TestValidate pins the structural rules New enforces, plus the NumStates
+// check Validate keeps for an MDP whose count was changed after New.
 func TestValidate(t *testing.T) {
 	tests := []struct {
-		name    string
-		m       *MDP
-		wantErr bool
+		name      string
+		choices   [][]Choice
+		numStates int // nonzero: overwrite NumStates before Validate
+		wantErr   bool
 	}{
 		{
 			name: "valid",
-			m: &MDP{NumStates: 2, Choices: [][]Choice{
+			choices: [][]Choice{
 				{tickCoin("flip", 0, 1)},
 				nil,
-			}},
+			},
 		},
 		{
-			name:    "shape mismatch",
-			m:       &MDP{NumStates: 3, Choices: make([][]Choice, 2)},
-			wantErr: true,
+			name:      "shape mismatch",
+			choices:   make([][]Choice, 2),
+			numStates: 3,
+			wantErr:   true,
 		},
 		{
 			name: "target out of range",
-			m: &MDP{NumStates: 1, Choices: [][]Choice{
+			choices: [][]Choice{
 				{moveTo("bad", 5)},
-			}},
+			},
+			wantErr: true,
+		},
+		{
+			name: "target beyond int32",
+			choices: [][]Choice{
+				{moveTo("bad", 1<<32)},
+			},
 			wantErr: true,
 		},
 		{
 			name: "bad distribution",
-			m: &MDP{NumStates: 2, Choices: [][]Choice{
+			choices: [][]Choice{
 				{{Label: "half", Branches: []Tr{{To: 1, P: prob.Half()}}}},
 				nil,
-			}},
+			},
 			wantErr: true,
 		},
 		{
 			name: "zero probability branch",
-			m: &MDP{NumStates: 2, Choices: [][]Choice{
+			choices: [][]Choice{
 				{{Label: "z", Branches: []Tr{{To: 1, P: prob.One()}, {To: 0, P: prob.Zero()}}}},
 				nil,
-			}},
+			},
 			wantErr: true,
 		},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			err := tt.m.Validate()
+			m, err := New(tt.choices)
+			if err == nil {
+				if tt.numStates != 0 {
+					m.NumStates = tt.numStates
+				}
+				err = m.Validate()
+			}
 			if (err != nil) != tt.wantErr {
-				t.Errorf("Validate = %v, wantErr %t", err, tt.wantErr)
+				t.Errorf("New/Validate = %v, wantErr %t", err, tt.wantErr)
 			}
 		})
 	}
@@ -90,11 +116,11 @@ func TestValidate(t *testing.T) {
 
 func TestReachWithinTicksChain(t *testing.T) {
 	// 0 -tick-> 1 -tick-> 2 (target, absorbing).
-	m := &MDP{NumStates: 3, Choices: [][]Choice{
+	m := mustNew([][]Choice{
 		{tickTo("a", 1)},
 		{tickTo("b", 2)},
 		nil,
-	}}
+	})
 	target := mask(3, 2)
 	tests := []struct {
 		horizon int
@@ -120,11 +146,11 @@ func TestReachWithinTicksChain(t *testing.T) {
 
 func TestReachWithinTicksChoice(t *testing.T) {
 	// From 0 the adversary picks: tick to target 1, or tick to sink 2.
-	m := &MDP{NumStates: 3, Choices: [][]Choice{
+	m := mustNew([][]Choice{
 		{tickTo("good", 1), tickTo("bad", 2)},
 		nil,
 		{tickTo("stay", 2)},
-	}}
+	})
 	target := mask(3, 1)
 
 	vMin, err := m.ReachWithinTicks(target, 10, MinProb)
@@ -145,10 +171,10 @@ func TestReachWithinTicksChoice(t *testing.T) {
 
 func TestReachWithinTicksGeometric(t *testing.T) {
 	// Each tick flips a fair coin: target 1 or retry 0.
-	m := &MDP{NumStates: 2, Choices: [][]Choice{
+	m := mustNew([][]Choice{
 		{tickCoin("flip", 1, 0)},
 		nil,
-	}}
+	})
 	target := mask(2, 1)
 	for h, want := range map[int]prob.Rat{
 		0: prob.Zero(),
@@ -169,11 +195,11 @@ func TestReachWithinTicksGeometric(t *testing.T) {
 func TestReachWithinTicksZeroDurationTail(t *testing.T) {
 	// A zero-duration move after the last tick still counts as within the
 	// bound: 0 -tick-> 1 -move-> 2 (target) is reachable within 1 tick.
-	m := &MDP{NumStates: 3, Choices: [][]Choice{
+	m := mustNew([][]Choice{
 		{tickTo("t", 1)},
 		{moveTo("m", 2)},
 		nil,
-	}}
+	})
 	target := mask(3, 2)
 	v, err := m.ReachWithinTicks(target, 1, MinProb)
 	if err != nil {
@@ -197,10 +223,10 @@ func TestReachWithinTicksMinPrefersLateTick(t *testing.T) {
 	// remaining obligation: state 0 chooses a zero-duration move into the
 	// target or a tick into the target. At horizon 0, ticking exceeds the
 	// deadline so min picks it; max picks the free move.
-	m := &MDP{NumStates: 2, Choices: [][]Choice{
+	m := mustNew([][]Choice{
 		{moveTo("now", 1), tickTo("later", 1)},
 		nil,
-	}}
+	})
 	target := mask(2, 1)
 	vMin, err := m.ReachWithinTicks(target, 0, MinProb)
 	if err != nil {
@@ -219,10 +245,10 @@ func TestReachWithinTicksMinPrefersLateTick(t *testing.T) {
 }
 
 func TestReachWithinTicksZenoCycle(t *testing.T) {
-	m := &MDP{NumStates: 2, Choices: [][]Choice{
+	m := mustNew([][]Choice{
 		{moveTo("spin", 0), tickTo("t", 1)},
 		nil,
-	}}
+	})
 	_, err := m.ReachWithinTicks(mask(2, 1), 3, MinProb)
 	if !errors.Is(err, ErrZenoCycle) {
 		t.Errorf("err = %v, want ErrZenoCycle", err)
@@ -230,7 +256,7 @@ func TestReachWithinTicksZenoCycle(t *testing.T) {
 }
 
 func TestReachWithinTicksBadInput(t *testing.T) {
-	m := &MDP{NumStates: 1, Choices: [][]Choice{nil}}
+	m := mustNew([][]Choice{nil})
 	if _, err := m.ReachWithinTicks(mask(2, 0), 1, MinProb); err == nil {
 		t.Error("mismatched mask accepted")
 	}
@@ -241,11 +267,11 @@ func TestReachWithinTicksBadInput(t *testing.T) {
 
 func TestReachWithinSteps(t *testing.T) {
 	// Cyclic zero-duration MDP: steps-bounded analysis handles cycles.
-	m := &MDP{NumStates: 3, Choices: [][]Choice{
+	m := mustNew([][]Choice{
 		{{Label: "flip", Branches: []Tr{{To: 1, P: prob.Half()}, {To: 0, P: prob.Half()}}}},
 		{moveTo("go", 2)},
 		nil,
-	}}
+	})
 	target := mask(3, 2)
 	v, err := m.ReachWithinSteps(target, 4, MinProb)
 	if err != nil {
@@ -273,7 +299,7 @@ func TestOptAt(t *testing.T) {
 	}
 }
 
-func TestFromAutomaton(t *testing.T) {
+func TestExplore(t *testing.T) {
 	// Timed automaton: 0 -tick-> coin: heads(1) absorbing target, tails
 	// back to 0; plus a zero-duration reset choice 0 -> 0? (skipped: keep
 	// it acyclic on non-tick edges).
@@ -295,9 +321,9 @@ func TestFromAutomaton(t *testing.T) {
 			return prob.Zero()
 		},
 	}
-	m, ix, err := FromAutomaton(auto, 0)
+	m, ix, err := Explore(auto, ExploreOptions{})
 	if err != nil {
-		t.Fatalf("FromAutomaton: %v", err)
+		t.Fatalf("Explore: %v", err)
 	}
 	if err := m.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
@@ -312,7 +338,7 @@ func TestFromAutomaton(t *testing.T) {
 	if got := ix.State(id0); got != 0 {
 		t.Errorf("State(ID(0)) = %d, want 0", got)
 	}
-	if !m.Choices[id0][0].Tick {
+	if c := m.CSR(); !c.tick.get(c.choiceRow[id0]) {
 		t.Error("tick action not marked as tick choice")
 	}
 
@@ -330,7 +356,7 @@ func TestFromAutomaton(t *testing.T) {
 	}
 }
 
-func TestFromAutomatonBadDuration(t *testing.T) {
+func TestExploreBadDuration(t *testing.T) {
 	auto := &pa.Automaton[int]{
 		Start: []int{0},
 		Steps: func(s int) []pa.Step[int] {
@@ -341,7 +367,7 @@ func TestFromAutomatonBadDuration(t *testing.T) {
 		},
 		Duration: func(string) prob.Rat { return prob.Half() },
 	}
-	_, _, err := FromAutomaton(auto, 0)
+	_, _, err := Explore(auto, ExploreOptions{})
 	if !errors.Is(err, ErrBadDuration) {
 		t.Errorf("err = %v, want ErrBadDuration", err)
 	}
@@ -349,12 +375,12 @@ func TestFromAutomatonBadDuration(t *testing.T) {
 
 func TestSCCs(t *testing.T) {
 	// 0 <-> 1 -> 2, 2 -> 2 (self loop), 3 isolated.
-	m := &MDP{NumStates: 4, Choices: [][]Choice{
+	m := mustNew([][]Choice{
 		{moveTo("a", 1)},
 		{moveTo("b", 0), moveTo("c", 2)},
 		{moveTo("d", 2)},
 		nil,
-	}}
+	})
 	comps := m.SCCs()
 	if len(comps) != 3 {
 		t.Fatalf("got %d SCCs, want 3", len(comps))
@@ -381,12 +407,12 @@ func TestSCCs(t *testing.T) {
 func TestQualitative(t *testing.T) {
 	// 0: choice A -> 1 (target), choice B -> 2 (sink with self loop).
 	// 3: single fair-coin choice between 1 and 3 (a.s. reaches target).
-	m := &MDP{NumStates: 4, Choices: [][]Choice{
+	m := mustNew([][]Choice{
 		{moveTo("A", 1), moveTo("B", 2)},
 		nil,
 		{moveTo("stay", 2)},
 		{{Label: "flip", Branches: []Tr{{To: 1, P: prob.Half()}, {To: 3, P: prob.Half()}}}},
-	}}
+	})
 	target := mask(4, 1)
 
 	avoid := m.Prob0E(target)
@@ -412,11 +438,11 @@ func TestQualitative(t *testing.T) {
 }
 
 func TestReachableFrom(t *testing.T) {
-	m := &MDP{NumStates: 3, Choices: [][]Choice{
+	m := mustNew([][]Choice{
 		{moveTo("a", 1)},
 		nil,
 		{moveTo("b", 0)},
-	}}
+	})
 	got := m.ReachableFrom(mask(3, 0))
 	for s, want := range []bool{true, true, false} {
 		if got[s] != want {
@@ -428,12 +454,12 @@ func TestReachableFrom(t *testing.T) {
 func TestMECs(t *testing.T) {
 	// States 0,1 form an end component under the "cycle" choices; state 2
 	// is absorbing with a self-loop (its own MEC); state 3 only leaks.
-	m := &MDP{NumStates: 4, Choices: [][]Choice{
+	m := mustNew([][]Choice{
 		{moveTo("to1", 1), moveTo("leak", 2)},
 		{moveTo("to0", 0)},
 		{moveTo("stay", 2)},
 		{moveTo("out", 2)},
-	}}
+	})
 	mecs := m.MECs()
 	if len(mecs) != 2 {
 		t.Fatalf("got %d MECs (%v), want 2", len(mecs), mecs)
@@ -458,10 +484,10 @@ func TestMECs(t *testing.T) {
 
 func TestMaxExpectedTicks(t *testing.T) {
 	t.Run("geometric", func(t *testing.T) {
-		m := &MDP{NumStates: 2, Choices: [][]Choice{
+		m := mustNew([][]Choice{
 			{tickCoin("flip", 1, 0)},
 			nil,
-		}}
+		})
 		v, err := m.MaxExpectedTicks(mask(2, 1), VIConfig{})
 		if err != nil {
 			t.Fatal(err)
@@ -472,7 +498,7 @@ func TestMaxExpectedTicks(t *testing.T) {
 	})
 	t.Run("adversary maximizes", func(t *testing.T) {
 		// Choice between a fair coin (E=2) and a 1/4 coin (E=4).
-		m := &MDP{NumStates: 2, Choices: [][]Choice{
+		m := mustNew([][]Choice{
 			{
 				tickCoin("fair", 1, 0),
 				{Label: "biased", Tick: true, Branches: []Tr{
@@ -481,7 +507,7 @@ func TestMaxExpectedTicks(t *testing.T) {
 				}},
 			},
 			nil,
-		}}
+		})
 		v, err := m.MaxExpectedTicks(mask(2, 1), VIConfig{})
 		if err != nil {
 			t.Fatal(err)
@@ -491,11 +517,11 @@ func TestMaxExpectedTicks(t *testing.T) {
 		}
 	})
 	t.Run("escapable target is infinite", func(t *testing.T) {
-		m := &MDP{NumStates: 3, Choices: [][]Choice{
+		m := mustNew([][]Choice{
 			{tickTo("good", 1), tickTo("bad", 2)},
 			nil,
 			{tickTo("stay", 2)},
-		}}
+		})
 		v, err := m.MaxExpectedTicks(mask(3, 1), VIConfig{})
 		if err != nil {
 			t.Fatal(err)
@@ -508,7 +534,7 @@ func TestMaxExpectedTicks(t *testing.T) {
 
 func TestMinExpectedTicks(t *testing.T) {
 	t.Run("picks the faster coin", func(t *testing.T) {
-		m := &MDP{NumStates: 2, Choices: [][]Choice{
+		m := mustNew([][]Choice{
 			{
 				tickCoin("fair", 1, 0),
 				{Label: "biased", Tick: true, Branches: []Tr{
@@ -517,7 +543,7 @@ func TestMinExpectedTicks(t *testing.T) {
 				}},
 			},
 			nil,
-		}}
+		})
 		v, err := m.MinExpectedTicks(mask(2, 1), VIConfig{})
 		if err != nil {
 			t.Fatal(err)
@@ -527,10 +553,10 @@ func TestMinExpectedTicks(t *testing.T) {
 		}
 	})
 	t.Run("unreachable target is infinite", func(t *testing.T) {
-		m := &MDP{NumStates: 2, Choices: [][]Choice{
+		m := mustNew([][]Choice{
 			{tickTo("stay", 0)},
 			nil,
-		}}
+		})
 		v, err := m.MinExpectedTicks(mask(2, 1), VIConfig{})
 		if err != nil {
 			t.Fatal(err)
@@ -540,7 +566,7 @@ func TestMinExpectedTicks(t *testing.T) {
 		}
 	})
 	t.Run("min below max", func(t *testing.T) {
-		m := &MDP{NumStates: 2, Choices: [][]Choice{
+		m := mustNew([][]Choice{
 			{
 				tickCoin("fair", 1, 0),
 				{Label: "slow", Tick: true, Branches: []Tr{
@@ -549,7 +575,7 @@ func TestMinExpectedTicks(t *testing.T) {
 				}},
 			},
 			nil,
-		}}
+		})
 		lo, err := m.MinExpectedTicks(mask(2, 1), VIConfig{})
 		if err != nil {
 			t.Fatal(err)
@@ -567,12 +593,12 @@ func TestMinExpectedTicks(t *testing.T) {
 func TestReachUnboundedFloat(t *testing.T) {
 	// Geometric reaches the target with probability 1 under the only
 	// adversary; a controllable escape gives min 0 / max 1.
-	m := &MDP{NumStates: 4, Choices: [][]Choice{
+	m := mustNew([][]Choice{
 		{tickCoin("flip", 1, 0)},
 		nil,
 		{tickTo("good", 1), tickTo("bad", 3)},
 		{tickTo("stay", 3)},
-	}}
+	})
 	target := mask(4, 1)
 
 	vMin, err := m.ReachUnboundedFloat(target, MinProb, VIConfig{})
@@ -605,19 +631,19 @@ func TestHorizonMonotonicity(t *testing.T) {
 	build := func(seed uint32) *MDP {
 		// Three states, state 2 absorbing; choices derived from seed bits.
 		next := func() int { seed = seed*1664525 + 1013904223; return int(seed>>16) % 3 }
-		m := &MDP{NumStates: 3, Choices: make([][]Choice, 3)}
+		choices := make([][]Choice, 3)
 		for s := 0; s < 2; s++ {
 			nChoices := 1 + next()%2
 			for c := 0; c < nChoices; c++ {
 				a, b := next(), next()
 				if a == b {
-					m.Choices[s] = append(m.Choices[s], tickTo("d", a))
+					choices[s] = append(choices[s], tickTo("d", a))
 				} else {
-					m.Choices[s] = append(m.Choices[s], tickCoin("c", a, b))
+					choices[s] = append(choices[s], tickCoin("c", a, b))
 				}
 			}
 		}
-		return m
+		return mustNew(choices)
 	}
 	for seed := uint32(1); seed <= 200; seed++ {
 		m := build(seed)

@@ -12,7 +12,7 @@ type MEC struct {
 	States []int
 	// Choices maps each member state to the indices of its choices whose
 	// branches all stay inside the component (indices local to the state,
-	// matching positions in MDP.Choices[s]). Every member has at least one
+	// in the state's choice order). Every member has at least one
 	// such choice unless the component is the trivial singleton of a
 	// terminal state (which is not reported).
 	Choices map[int][]int

@@ -27,9 +27,10 @@
 //     machine-checked proof trees, a statement parser and a proof-script
 //     interpreter, and the Section 6.2 expected-time recurrence;
 //   - a worst-case model checker: the Unit-Time adversary schema is
-//     digitized (sched) into a finite scheduler-product MDP (mdp) on which
-//     exact rational value iteration computes the true worst-case
-//     probability of every claimed arrow;
+//     digitized (sched) into a finite scheduler-product MDP, explored on
+//     the fly into compressed-sparse-row form (mdp), on which exact
+//     rational value iteration computes the true worst-case probability of
+//     every claimed arrow;
 //   - the Lehmann–Rabin algorithm itself (dining) with the paper's five
 //     arrows checked and composed into T --13,1/8--> C, plus a dense-time
 //     Monte Carlo engine (sim) with programmable malicious schedulers;
@@ -147,16 +148,17 @@ type (
 	SimPolicy[S comparable] = sim.Policy[S]
 )
 
-// NewDiningAnalysis enumerates the n-process Lehmann–Rabin ring under the
-// k-steps-per-window digitized Unit-Time schema (limit caps enumeration;
-// 0 means unlimited).
+// NewDiningAnalysis explores the n-process Lehmann–Rabin ring under the
+// k-steps-per-window digitized Unit-Time schema with the on-the-fly CSR
+// explorer (limit caps the state count; 0 means unlimited).
 func NewDiningAnalysis(n, k, limit int) (*DiningAnalysis, error) {
-	return dining.NewAnalysis(n, k, limit)
+	return dining.NewAnalysisOpts(n, k, dining.Opts{Limit: limit})
 }
 
-// NewElectionAnalysis enumerates the n-process leader-election protocol.
+// NewElectionAnalysis explores the n-process leader-election protocol
+// the same way.
 func NewElectionAnalysis(n, k, limit int) (*ElectionAnalysis, error) {
-	return election.NewAnalysis(n, k, limit)
+	return election.NewAnalysisOpts(n, k, election.Opts{Limit: limit})
 }
 
 // UnitTimeSchema names the digitized Unit-Time schema for statements.
@@ -273,9 +275,12 @@ func BuildProduct[S comparable](m SchedulerModel[S], stepsPerWindow int) (*Autom
 	return sched.Product(m, sched.Config{StepsPerWindow: stepsPerWindow})
 }
 
-// EnumerateMDP converts an automaton into an indexed finite MDP.
+// EnumerateMDP converts an automaton into an indexed finite MDP with the
+// on-the-fly explorer: states are numbered in breadth-first discovery
+// order, and limit caps the state count (0 means unlimited). Steps may be
+// called concurrently, so it must be safe for concurrent use.
 func EnumerateMDP[S comparable](m *Automaton[S], limit int) (*MDP, *mdp.Index[S], error) {
-	return mdp.FromAutomaton(m, limit)
+	return mdp.Explore(m, mdp.ExploreOptions{Limit: limit})
 }
 
 // CheckStatement computes the exact worst-case probability of a statement
