@@ -49,7 +49,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build test test-short test-race bench bench-smoke bench-json bench-diff vuln vet fmt fuzz chaos chaos-smoke chaos-net chaos-net-smoke fabric-smoke bench-fabric trace-smoke mdp-smoke check lrcheck experiments
+.PHONY: all build test test-short test-race bench bench-smoke bench-json bench-diff vuln vet fmt fuzz chaos chaos-smoke chaos-net chaos-net-smoke fabric-smoke bench-fabric trace-smoke mdp-smoke check lrcheck experiments loc
 
 # Benchmarks recorded in BENCH_sim.json and gated by bench-diff: the
 # parallel-engine throughput row, the hot-path ablation ladder, the
@@ -216,6 +216,12 @@ mdp-smoke:
 	$(GO) test -run 'TestExploreMatchesDense' -count=1 .
 
 check: build vet test test-race bench-smoke chaos-smoke chaos-net-smoke fabric-smoke trace-smoke mdp-smoke vuln
+
+# Production Go line count, the figure ROADMAP.md's size targets use:
+# every .go file outside the perfbench build cache, less tests and
+# perfbench itself.
+loc:
+	@find . -path ./.bench_build -prune -o -name '*.go' -print | grep -v _test.go | grep -v perfbench | xargs wc -l | tail -1
 
 # The headline reproduction: the paper's table, derivation and bounds.
 lrcheck:

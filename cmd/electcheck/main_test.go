@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fabric"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -86,7 +87,7 @@ func TestRunSampledCheckpointResume(t *testing.T) {
 	if err := run(context.Background(), append(base, "-checkpoint", ck, "-workers", "2")); err != nil {
 		t.Fatalf("checkpointed run: %v", err)
 	}
-	cs, err := sim.LoadCheckpointSet(ck)
+	cs, _, err := (&sim.ArtifactStore{}).Load(ck)
 	if err != nil {
 		t.Fatalf("load checkpoint: %v", err)
 	}
@@ -178,6 +179,34 @@ func TestNoCompileIdenticalOutput(t *testing.T) {
 	if err := run(context.Background(), append(args, retired)); err == nil ||
 		!strings.Contains(err.Error(), "flag provided but not defined: "+retired) {
 		t.Errorf("%s: err = %v, want an unknown-flag error", retired, err)
+	}
+}
+
+// TestSampleMatchesFabricRunner pins the sampler to the job layer: the
+// -sample cross-check prints exactly the estimate fabric.NewRunner
+// computes for the election time-to-target job of the same size, trial
+// budget and seed (the line simd local prints).
+func TestSampleMatchesFabricRunner(t *testing.T) {
+	ctx := context.Background()
+	out, err := captureRun(t, ctx, []string{"-n", "3", "-sample", "300", "-seed", "5"})
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	runner, err := fabric.NewRunner(fabric.JobSpec{
+		Model: "election", N: 3, Policy: "slowest", Estimator: fabric.EstimatorTimeToTarget,
+		Trials: 300, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	line, _, err := runner.Estimate(ctx, 2, fabric.EngineHooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, est, _ := strings.Cut(line, " = ")
+	want := "Monte Carlo cross-check (300 dense-time trials, slowest scheduler): time to leader " + est + "\n"
+	if !strings.Contains(out, want) {
+		t.Errorf("electcheck output lacks the runner's estimate %q:\n%s", want, out)
 	}
 }
 

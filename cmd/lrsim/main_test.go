@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fabric"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -83,6 +84,47 @@ func TestRunBadInputs(t *testing.T) {
 	}
 }
 
+// TestRowsMatchFabricRunner pins lrsim to the job layer: the n=3 rows
+// print, in the P and E columns, exactly the estimates fabric.NewRunner
+// computes for the matching reachprob and timetotarget jobs (the lines
+// simd local and simd coordinate print).
+func TestRowsMatchFabricRunner(t *testing.T) {
+	ctx := context.Background()
+	out, err := captureRun(t, ctx, []string{"-sizes", "3", "-policies", "slowest,paced:0.5", "-trials", "300", "-seed", "3"})
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	rows := map[string]string{}
+	for _, line := range strings.Split(out, "\n") {
+		if f := strings.Fields(line); len(f) > 2 && f[0] == "3" {
+			rows[f[1]] = line
+		}
+	}
+	for _, policy := range []string{"slowest", "paced:0.5"} {
+		var ests []string
+		for _, estimator := range []string{fabric.EstimatorReachProb, fabric.EstimatorTimeToTarget} {
+			runner, err := fabric.NewRunner(fabric.JobSpec{
+				Model: "dining", N: 3, Policy: policy, Estimator: estimator,
+				Within: 13, Trials: 300, Seed: 3,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			line, _, err := runner.Estimate(ctx, 2, fabric.EngineHooks{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, est, _ := strings.Cut(line, " = ")
+			ests = append(ests, est)
+		}
+		row := rows[policy]
+		p, e := strings.Index(row, ests[0]), strings.Index(row, ests[1])
+		if p < 0 || e < 0 || p > e {
+			t.Errorf("%s row %q does not print P = %q then E = %q", policy, row, ests[0], ests[1])
+		}
+	}
+}
+
 func TestParseSizes(t *testing.T) {
 	got, err := parseSizes("3, 5,8")
 	if err != nil {
@@ -131,7 +173,7 @@ func TestCheckpointResumeIdenticalOutput(t *testing.T) {
 	if gotCk != want {
 		t.Errorf("checkpointed output differs from baseline:\n--- want\n%s\n--- got\n%s", want, gotCk)
 	}
-	cs, err := sim.LoadCheckpointSet(ck)
+	cs, _, err := (&sim.ArtifactStore{}).Load(ck)
 	if err != nil {
 		t.Fatalf("load checkpoint: %v", err)
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 func TestRunPolicies(t *testing.T) {
-	for _, policy := range []string{"slowest", "random", "spiteful"} {
+	for _, policy := range []string{"slowest", "random", "spiteful", "paced:0.5"} {
 		if err := run([]string{"-n", "3", "-policy", policy, "-seed", "2"}); err != nil {
 			t.Errorf("policy %s: %v", policy, err)
 		}

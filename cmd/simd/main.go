@@ -18,6 +18,12 @@
 // and the coordinator merges chunk accumulators in index order, so the
 // cluster is invisible in the math.
 //
+// The signal context, the tracer and the quarantine report come from
+// internal/mcrun, the harness shared with lrsim and electcheck -sample,
+// and dining policy names resolve through dining.Policy, the table lrsim
+// uses; so `simd local` prints the estimates an lrsim row prints for the
+// same job and seed.
+//
 // Only the canonical result line goes to stdout; everything operational
 // (listening address, lease traffic, partial estimates, resume hints)
 // goes to stderr, so `diff` between a distributed and a local run means
@@ -67,13 +73,11 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"os/signal"
-	"sync"
-	"syscall"
 	"time"
 
 	"repro/internal/fabric"
 	"repro/internal/fault"
+	"repro/internal/mcrun"
 	"repro/internal/obs"
 	"repro/internal/obs/span"
 	"repro/internal/sim"
@@ -100,10 +104,9 @@ func run(ctx context.Context, args []string) error {
 		return errors.New("missing subcommand")
 	}
 	// SIGINT/SIGTERM cancel for a graceful drain; a second signal kills
-	// the process the default way (stop re-arms on cancellation).
-	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
+	// the process the default way.
+	ctx, stop := mcrun.Context(ctx, 0)
 	defer stop()
-	context.AfterFunc(ctx, stop)
 
 	switch args[0] {
 	case "local":
@@ -156,15 +159,6 @@ func jobLine(spec fabric.JobSpec) string {
 	return fmt.Sprintf("%s n=%d policy=%s seed=%d trials=%d", spec.Model, spec.N, spec.Policy, spec.Seed, spec.Trials)
 }
 
-// openTracer opens the -trace-out JSONL exporter, or returns nil (spans
-// disabled, one nil check per site) when the flag is unset.
-func openTracer(path, service string) (*span.Tracer, error) {
-	if path == "" {
-		return nil, nil
-	}
-	return span.Open(path, span.Options{Service: service})
-}
-
 // jobAttrs is the identity attribute set stamped on root job spans, one
 // vocabulary across simd local, coordinate, and the analysis tooling.
 func jobAttrs(spec fabric.JobSpec) []span.Attr {
@@ -179,31 +173,19 @@ func jobAttrs(spec fabric.JobSpec) []span.Attr {
 	}
 }
 
-// engineHooks builds the chunk-span + pprof-label hooks for a local
-// engine run. With a nil tracer the zero hooks are returned and the
-// engine pays one nil check per chunk.
-func engineHooks(tr *span.Tracer, parent span.SpanContext, spec fabric.JobSpec) fabric.EngineHooks {
-	if tr == nil {
-		return fabric.EngineHooks{}
+// writeMetrics writes the registry snapshot as JSON to path, if set. A
+// failure is reported on stderr, not returned: it must not mask the
+// outcome of the run.
+func writeMetrics(path string, reg *obs.Registry) {
+	if path == "" {
+		return
 	}
-	return fabric.EngineHooks{
-		Spans: span.ChunkSpans(tr, parent),
-		Labels: []string{
-			"fabric_job", fmt.Sprintf("%s-n%d-s%d", spec.Model, spec.N, spec.Seed),
-		},
+	data, err := json.Marshal(reg.Snapshot())
+	if err == nil {
+		err = os.WriteFile(path, data, 0o644)
 	}
-}
-
-// reportRun sends the run summary (and quarantine repro seeds, if any)
-// to stderr, keeping stdout canonical.
-func reportRun(rep sim.RunReport) {
-	fmt.Fprintf(os.Stderr, "simd: %s\n", rep)
-	for _, pr := range rep.Panics {
-		verb := "panicked"
-		if pr.Kind == sim.RecordStalled {
-			verb = "stalled"
-		}
-		fmt.Fprintf(os.Stderr, "simd: trial %d %s: %s (trial RNG seed %d)\n", pr.Trial, verb, pr.Value, pr.Seed)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "simd: writing -metrics-out: %v\n", err)
 	}
 }
 
@@ -219,22 +201,18 @@ func runLocal(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	tr, err := openTracer(*traceOut, "local")
+	spec := runner.Spec()
+	trace, err := mcrun.OpenTrace(*traceOut, "local", jobAttrs(spec)...)
 	if err != nil {
 		return err
 	}
-	if tr != nil {
-		defer tr.Close()
+	est, rep, err := runner.Estimate(ctx, *workers,
+		fabric.Hooks(trace.Tracer, trace.Root.Context(), []string{"fabric_job", spec.Label()}))
+	if terr := trace.End(err, span.Int("completed", rep.Completed)); err == nil {
+		err = terr
 	}
-	spec := runner.Spec()
-	root := tr.Start("job", span.SpanContext{}, jobAttrs(spec)...)
-	est, rep, err := runner.Estimate(ctx, *workers, engineHooks(tr, root.Context(), spec))
-	outcome := "complete"
-	if err != nil {
-		outcome = "error"
-	}
-	root.End(span.Str("outcome", outcome), span.Int("completed", rep.Completed))
-	reportRun(rep)
+	fmt.Fprintf(os.Stderr, "simd: %s\n", rep)
+	mcrun.ReportQuarantine("simd", "", rep)
 	if errors.Is(err, sim.ErrInterrupted) {
 		fmt.Fprintf(os.Stderr, "simd: interrupted: partial %s over %d/%d trials\n", est, rep.Completed, rep.Total)
 		return err
@@ -242,7 +220,7 @@ func runLocal(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s: %s\n", jobLine(runner.Spec()), est)
+	fmt.Printf("%s: %s\n", jobLine(spec), est)
 	return nil
 }
 
@@ -273,26 +251,10 @@ func runCoordinate(ctx context.Context, args []string) error {
 	reg := obs.NewRegistry()
 	// The metrics snapshot must land on every exit path — clean finish,
 	// SIGINT/SIGTERM drain, and the -quorum-timeout degraded path — so it
-	// is a once-guarded helper deferred here, before anything can fail.
-	writeMetrics := func() {}
-	if *metricsOut != "" {
-		var once sync.Once
-		writeMetrics = func() {
-			once.Do(func() {
-				data, err := json.Marshal(reg.Snapshot())
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "simd: encoding -metrics-out: %v\n", err)
-					return
-				}
-				if err := os.WriteFile(*metricsOut, data, 0o644); err != nil {
-					fmt.Fprintf(os.Stderr, "simd: writing -metrics-out: %v\n", err)
-				}
-			})
-		}
-		defer writeMetrics()
-	}
+	// is deferred here, before anything can fail.
+	defer writeMetrics(*metricsOut, reg)
 
-	tr, err := openTracer(*traceOut, "coord")
+	tr, err := mcrun.OpenTracer(*traceOut, "coord")
 	if err != nil {
 		return err
 	}
@@ -380,7 +342,8 @@ func runCoordinate(ctx context.Context, args []string) error {
 		fmt.Fprintf(os.Stderr, "simd: hardening: %d hedges issued, %d workers quarantined, %d rpcs shed\n",
 			st.HedgesIssued, st.WorkersQuarantined, st.RPCsShed)
 	}
-	reportRun(rep)
+	fmt.Fprintf(os.Stderr, "simd: %s\n", rep)
+	mcrun.ReportQuarantine("simd", "", rep)
 
 	if waitErr == nil && ferr == nil {
 		// Complete run: the one canonical stdout line.
@@ -430,17 +393,7 @@ func runWork(ctx context.Context, args []string) error {
 		service = fmt.Sprintf("worker-%d", os.Getpid())
 	}
 	reg := obs.NewRegistry()
-	if *metricsOut != "" {
-		defer func() {
-			data, err := json.Marshal(reg.Snapshot())
-			if err == nil {
-				err = os.WriteFile(*metricsOut, data, 0o644)
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "simd: writing -metrics-out: %v\n", err)
-			}
-		}()
-	}
+	defer writeMetrics(*metricsOut, reg)
 	client := &http.Client{Timeout: 30 * time.Second}
 	if *chaosNet != "" {
 		script, err := fault.ParseNetScript(*chaosNet)
@@ -476,7 +429,7 @@ func runWork(ctx context.Context, args []string) error {
 			},
 		})
 	}
-	tr, err := openTracer(*traceOut, service)
+	tr, err := mcrun.OpenTracer(*traceOut, service)
 	if err != nil {
 		return err
 	}

@@ -214,9 +214,40 @@ func TestQualitativeProgressBaseline(t *testing.T) {
 	if total == 0 {
 		t.Fatal("no T states in the reachable space")
 	}
-	if total != almostSure {
-		t.Errorf("qualitative progress: %d/%d T-states reach C almost surely; want all", almostSure, total)
+	if total != 9492 || almostSure != total {
+		t.Errorf("qualitative progress: %d/%d T-states reach C almost surely; want 9492/9492", almostSure, total)
 	}
+}
+
+// TestQualitativeProgressN2 runs the qualitative baseline on the
+// two-philosopher ring: every trying state reaches C almost surely, yet
+// the avoid set (states from which some adversary keeps C away forever)
+// is nonempty. It holds the idle configurations, where no user ever
+// issues try, so the almost-sure property needs the source set T, which
+// the paper's statements make explicit as U.
+func TestQualitativeProgressN2(t *testing.T) {
+	a, err := NewAnalysisOpts(2, 1, Opts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	total, almostSure := a.QualitativeProgress()
+	if total == 0 || almostSure != total {
+		t.Fatalf("qualitative progress at n=2: %d/%d T-states reach C almost surely; want all", almostSure, total)
+	}
+	avoid := a.MDP.Prob0E(a.Index.Mask(sched.LiftPred(InC)))
+	n := 0
+	for s, in := range avoid {
+		if in {
+			n++
+			if InT(a.Index.State(s).Base) {
+				t.Errorf("avoid state %d is a T-state, yet every T-state reaches C almost surely", s)
+			}
+		}
+	}
+	if n == 0 {
+		t.Error("no avoid states: the idle configurations should keep C away forever")
+	}
+	t.Logf("n=2: %d T-states almost sure, %d avoid states", total, n)
 }
 
 func TestSetRegistryAndStatements(t *testing.T) {

@@ -1,7 +1,10 @@
 package dining
 
 import (
+	"fmt"
 	"math/rand"
+	"strconv"
+	"strings"
 
 	"repro/internal/sim"
 )
@@ -22,6 +25,30 @@ func AllAt(n int, pc PC) State {
 		locals[i] = Local{PC: pc}
 	}
 	return MustState(locals...)
+}
+
+// Policy resolves an adversary name to a factory of fresh policy
+// instances: slowest, random, spiteful, or paced:<alpha> with alpha in
+// (0, 1]. It is the one name table behind every dining front end
+// (lrsim -policies, lrtrace -policy, and fabric job specs), so a name
+// means the same adversary everywhere.
+func Policy(name string) (func() sim.Policy[State], error) {
+	switch {
+	case name == "slowest":
+		return func() sim.Policy[State] { return KeepTrying(sim.Slowest[State]()) }, nil
+	case name == "random":
+		return func() sim.Policy[State] { return KeepTrying(sim.Random[State](0.5)) }, nil
+	case name == "spiteful":
+		return Spiteful, nil
+	case strings.HasPrefix(name, "paced:"):
+		alpha, err := strconv.ParseFloat(strings.TrimPrefix(name, "paced:"), 64)
+		if err != nil || !(alpha > 0 && alpha <= 1) {
+			return nil, fmt.Errorf("dining: bad paced alpha in %q (want paced:<alpha>, 0 < alpha <= 1)", name)
+		}
+		return func() sim.Policy[State] { return KeepTrying(sim.Paced[State](alpha)) }, nil
+	default:
+		return nil, fmt.Errorf("dining: unknown policy %q (want slowest, random, spiteful or paced:<alpha>)", name)
+	}
 }
 
 // KeepTrying wraps a policy so that any process sitting in its remainder

@@ -37,6 +37,7 @@ package fabric
 
 import (
 	"errors"
+	"fmt"
 
 	"repro/internal/sim"
 )
@@ -103,6 +104,9 @@ type JobSpec struct {
 	// MaxPanics is the per-range quarantine budget handed to the engine.
 	MaxPanics int `json:"max_panics,omitempty"`
 }
+
+// Label names the job in pprof goroutine labels: model, size and seed.
+func (s JobSpec) Label() string { return fmt.Sprintf("%s-n%d-s%d", s.Model, s.N, s.Seed) }
 
 // Metrics observes coordinator events. It is matched structurally
 // (obs.FabricMetrics implements it; neither package imports the other).

@@ -10,10 +10,12 @@ package fabric
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -308,6 +310,59 @@ func TestWorkerQuarantinedExit(t *testing.T) {
 	w := &Worker{Coordinator: ts.URL, ID: "w"}
 	if err := w.Run(context.Background()); err != ErrWorkerQuarantined {
 		t.Fatalf("Run = %v, want ErrWorkerQuarantined", err)
+	}
+}
+
+// TestWorkerLateDeliveryCoordinatorGone: the coordinator grants a lease
+// and is gone by the time the result is uploaded (it merged the last
+// chunk from another worker and exited), so every upload attempt dies
+// on the transport. Having reached the coordinator before, the worker
+// reads that as the normal end of the job, the rule Run applies to
+// lease requests, and exits cleanly.
+func TestWorkerLateDeliveryCoordinatorGone(t *testing.T) {
+	ctx := context.Background()
+	c, err := NewCoordinator(ctx, testJob(64), CoordinatorOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner := c.Handler()
+	var uploads atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/result" {
+			uploads.Add(1)
+			conn, _, err := w.(http.Hijacker).Hijack()
+			if err != nil {
+				t.Errorf("hijack: %v", err)
+				return
+			}
+			conn.Close()
+			return
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+
+	var (
+		mu  sync.Mutex
+		log strings.Builder
+	)
+	w := &Worker{
+		Coordinator: ts.URL, ID: "w", Workers: 1,
+		Retry: fault.RetryPolicy{Attempts: 2, Base: time.Millisecond, Cap: time.Millisecond},
+		Report: func(format string, args ...any) {
+			mu.Lock()
+			defer mu.Unlock()
+			fmt.Fprintf(&log, format+"\n", args...)
+		},
+	}
+	if err := w.Run(ctx); err != nil {
+		t.Fatalf("Run = %v, want nil once the coordinator has gone\nlog:\n%s", err, log.String())
+	}
+	if got := uploads.Load(); got != 2 {
+		t.Errorf("%d upload attempts reached the server, want 2 (the retry policy's attempts)", got)
+	}
+	if !strings.Contains(log.String(), "assuming the job is finished") {
+		t.Errorf("worker log does not report the vanished coordinator:\n%s", log.String())
 	}
 }
 

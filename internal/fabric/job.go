@@ -12,11 +12,10 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"strconv"
-	"strings"
 
 	"repro/internal/dining"
 	"repro/internal/election"
+	"repro/internal/obs/span"
 	"repro/internal/sched"
 	"repro/internal/sim"
 )
@@ -29,6 +28,18 @@ import (
 type EngineHooks struct {
 	Spans  sim.SpanHooks
 	Labels []string
+}
+
+// Hooks returns the engine hooks of a traced run: chunk spans under
+// parent stamped with attrs, and the pprof labels. With a nil tracer it
+// returns the zero hooks. The gate must stay explicit, because a
+// typed-nil *span.ChunkSpanner stored in the SpanHooks interface would
+// defeat the engine's nil check.
+func Hooks(tr *span.Tracer, parent span.SpanContext, labels []string, attrs ...span.Attr) EngineHooks {
+	if tr == nil {
+		return EngineHooks{}
+	}
+	return EngineHooks{Spans: span.ChunkSpans(tr, parent, attrs...), Labels: labels}
 }
 
 // Runner executes pieces of one job against the local engine.
@@ -99,9 +110,9 @@ func newDiningRunner(spec JobSpec) (Runner, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fabric: building dining model: %w", err)
 	}
-	mk, err := diningPolicy(spec.Policy)
+	mk, err := dining.Policy(spec.Policy)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("fabric: %w", err)
 	}
 	return &runner[dining.State]{
 		spec:   spec,
@@ -115,35 +126,6 @@ func newDiningRunner(spec JobSpec) (Runner, error) {
 			MaxTime:   spec.MaxTime,
 		},
 	}, nil
-}
-
-// diningPolicy mirrors the lrsim policy table so fabric jobs explore
-// the same adversary menagerie as the single-process CLI.
-func diningPolicy(name string) (func() sim.Policy[dining.State], error) {
-	switch {
-	case name == "slowest":
-		return func() sim.Policy[dining.State] {
-			return dining.KeepTrying(sim.Slowest[dining.State]())
-		}, nil
-	case name == "random":
-		return func() sim.Policy[dining.State] {
-			return dining.KeepTrying(sim.Random[dining.State](0.5))
-		}, nil
-	case name == "spiteful":
-		return func() sim.Policy[dining.State] {
-			return dining.Spiteful()
-		}, nil
-	case strings.HasPrefix(name, "paced:"):
-		alpha, err := strconv.ParseFloat(strings.TrimPrefix(name, "paced:"), 64)
-		if err != nil || alpha <= 0 || alpha > 1 {
-			return nil, fmt.Errorf("fabric: bad paced alpha in %q", name)
-		}
-		return func() sim.Policy[dining.State] {
-			return dining.KeepTrying(sim.Paced[dining.State](alpha))
-		}, nil
-	default:
-		return nil, fmt.Errorf("fabric: unknown dining policy %q", name)
-	}
 }
 
 func newElectionRunner(spec JobSpec) (Runner, error) {

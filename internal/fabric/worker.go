@@ -278,7 +278,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			// coordinator prints the estimate and exits the moment the final
 			// result (from whichever worker) lands. A 4xx stays fatal: that
 			// is the coordinator telling us our requests are wrong.
-			if w.reached.Load() && !errors.Is(err, errPermanent) && ctx.Err() == nil {
+			if w.retired(ctx, err) {
 				w.report("worker %s: coordinator unreachable after retries (%v); assuming the job is finished", id, err)
 				return nil
 			}
@@ -387,14 +387,8 @@ func (w *Worker) runLease(ctx context.Context, id string, job JobSpec, l Lease, 
 		}
 	}()
 
-	eng := EngineHooks{}
-	if w.Tracer != nil {
-		eng.Spans = span.ChunkSpans(w.Tracer, ls.Context(), span.Str("worker", id))
-		eng.Labels = []string{
-			"fabric_job", fmt.Sprintf("%s-n%d-s%d", job.Model, job.N, job.Seed),
-			"lease", l.ID,
-		}
-	}
+	eng := Hooks(w.Tracer, ls.Context(),
+		[]string{"fabric_job", job.Label(), "lease", l.ID}, span.Str("worker", id))
 	cp, rep, runErr := runner.RunRange(lctx, w.Workers, l.Chunks, eng)
 	if w.Throttle > 0 && runErr == nil {
 		select {
@@ -420,6 +414,14 @@ func (w *Worker) runLease(ctx context.Context, id string, job JobSpec, l Lease, 
 	case runErr != nil:
 		ls.End(span.Str("outcome", "error"), span.Str("error", runErr.Error()))
 		return false, fmt.Errorf("fabric: running lease %s: %w", l.ID, runErr)
+	case uploadErr != nil && w.retired(ctx, uploadErr):
+		// The same rule Run applies to lease requests: once the coordinator
+		// has answered us, its vanishing means it merged the last chunk
+		// (this lease expired under load and another worker finished it)
+		// and exited.
+		w.report("worker %s: coordinator unreachable delivering lease %s (%v); assuming the job is finished", id, l.ID, uploadErr)
+		ls.End(span.Str("outcome", "coordinator-gone"))
+		return true, nil
 	case uploadErr != nil:
 		ls.End(span.Str("outcome", "error"), span.Str("error", uploadErr.Error()))
 		return false, fmt.Errorf("fabric: delivering lease %s result: %w", l.ID, uploadErr)
@@ -429,6 +431,14 @@ func (w *Worker) runLease(ctx context.Context, id string, job JobSpec, l Lease, 
 }
 
 var errLeaseExpired = errors.New("fabric: lease expired")
+
+// retired reports whether a failed RPC means the coordinator has
+// finished the job and exited: we reached it before, the failure is not
+// a permanent refusal (a 4xx stays fatal: the coordinator is telling us
+// our requests are wrong), and we are not being cancelled ourselves.
+func (w *Worker) retired(ctx context.Context, err error) bool {
+	return w.reached.Load() && !errors.Is(err, errPermanent) && ctx.Err() == nil
+}
 
 // deliver wraps the checkpoint fragment in a checksummed envelope and
 // posts it. The envelope means a truncated or corrupted upload is

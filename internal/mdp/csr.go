@@ -38,26 +38,12 @@ import (
 	"repro/internal/prob"
 )
 
-// bitset is a packed bool vector; the MEC decomposition and the tick
-// flags use it instead of map[int]bool / []bool for density and O(1)
-// clearing by word.
+// bitset is a packed bool vector: the per-choice tick flags cost one
+// bit each instead of a bool.
 type bitset []uint64
-
-func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
 
 func (b bitset) get(i int32) bool { return b[uint32(i)>>6]&(1<<(uint32(i)&63)) != 0 }
 func (b bitset) set(i int32)      { b[uint32(i)>>6] |= 1 << (uint32(i) & 63) }
-func (b bitset) clear(i int32)    { b[uint32(i)>>6] &^= 1 << (uint32(i) & 63) }
-
-func (b bitset) count() int {
-	total := 0
-	for _, w := range b {
-		for ; w != 0; w &= w - 1 {
-			total++
-		}
-	}
-	return total
-}
 
 // CSR is the compressed-sparse-row transition structure of an MDP. All
 // slices are immutable after construction and shared freely across

@@ -193,67 +193,3 @@ func (m *MDP) MaxExpectedTicks(target []bool, cfg VIConfig) ([]float64, error) {
 func (m *MDP) MinExpectedTicks(target []bool, cfg VIConfig) ([]float64, error) {
 	return m.expectedTicks(target, cfg, false)
 }
-
-// ReachUnboundedFloat computes, for every state, the optimal probability
-// of eventually reaching the target, by value iteration with qualitative
-// precomputation pinning the probability-0 and probability-1 states
-// exactly.
-func (m *MDP) ReachUnboundedFloat(target []bool, goal Goal, cfg VIConfig) ([]float64, error) {
-	if len(target) != m.NumStates {
-		return nil, fmt.Errorf("mdp: target mask has %d entries, want %d", len(target), m.NumStates)
-	}
-	c := m.CSR()
-
-	v := make([]float64, c.n)
-	skip := make([]bool, c.n)
-	switch goal {
-	case MinProb:
-		one := m.MinProbOne(target)
-		zero := m.Prob0E(target)
-		for s := range v {
-			switch {
-			case target[s] || one[s]:
-				v[s] = 1
-				skip[s] = true
-			case zero[s]:
-				skip[s] = true
-			case c.terminal(s):
-				skip[s] = true
-			}
-		}
-	case MaxProb:
-		pos := m.MaxProbPositive(target)
-		for s := range v {
-			switch {
-			case target[s]:
-				v[s] = 1
-				skip[s] = true
-			case !pos[s]:
-				skip[s] = true
-			case c.terminal(s):
-				skip[s] = true
-			}
-		}
-	default:
-		return nil, fmt.Errorf("mdp: unknown goal %d", goal)
-	}
-
-	return m.valueIterate(cfg, v, skip, func(s int32, nonTick, tick []float64) float64 {
-		cLo := c.choiceRow[s]
-		best := 0.0
-		for ci := cLo; ci < c.choiceRow[s+1]; ci++ {
-			val := 0.0
-			layer := nonTick
-			if c.tick.get(ci) {
-				layer = tick
-			}
-			for bi := c.branchRow[ci]; bi < c.branchRow[ci+1]; bi++ {
-				val += c.pf[bi] * layer[c.col[bi]]
-			}
-			if ci == cLo || (goal == MinProb && val < best) || (goal == MaxProb && val > best) {
-				best = val
-			}
-		}
-		return best
-	})
-}

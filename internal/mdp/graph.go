@@ -1,49 +1,17 @@
 package mdp
 
-// This file contains the qualitative (graph-based) analyses: strongly
-// connected components, reachability, the states from which some adversary
-// avoids a target forever (Prob0E), and the states from which every
-// adversary reaches a target almost surely (MinProbOne). The last is the
-// Zuck–Pnueli-style baseline the paper refines: "with probability 1, some
-// process eventually enters its critical region" is MinProbOne, with no
-// time bound attached.
+// This file contains the qualitative (graph-based) analyses: the states
+// from which some adversary avoids a target forever (Prob0E), the states
+// from which every adversary reaches a target almost surely (MinProbOne),
+// and the states from which some adversary can reach it at all
+// (MaxProbPositive). The expected-time solver pins its infinite values
+// with them. MinProbOne is also the Zuck–Pnueli-style baseline the paper
+// refines: "with probability 1, some process eventually enters its
+// critical region" is MinProbOne, with no time bound attached
+// (dining.Analysis.QualitativeProgress).
 //
-// Everything runs on the CSR form: a state's successors are one contiguous
-// branch range (CSR.stateBranches), so the searches iterate branches in
-// place with no per-pop allocation, and backward searches share the
+// Everything runs on the CSR form, and the backward searches share the
 // memoized reverse adjacency instead of rebuilding it per call.
-
-// ReachableFrom returns the mask of states reachable (in the underlying
-// graph, over all choices) from any state in the from mask.
-func (m *MDP) ReachableFrom(from []bool) []bool {
-	c := m.CSR()
-	seen := make([]bool, c.n)
-	stack := make([]int32, 0, 64)
-	for s, in := range from {
-		if in && !seen[s] {
-			seen[s] = true
-			stack = append(stack, int32(s))
-		}
-	}
-	for len(stack) > 0 {
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		lo, hi := c.stateBranches(s)
-		for bi := lo; bi < hi; bi++ {
-			if t := c.col[bi]; !seen[t] {
-				seen[t] = true
-				stack = append(stack, t)
-			}
-		}
-	}
-	return seen
-}
-
-// CanReach returns the mask of states from which the target mask is
-// reachable in the underlying graph (backward reachability).
-func (m *MDP) CanReach(target []bool) []bool {
-	return m.canReachAvoiding(target, nil)
-}
 
 // canReachAvoiding is backward reachability of target through paths whose
 // intermediate states avoid the blocked mask (blocked target states still
@@ -77,90 +45,6 @@ func (m *MDP) canReachAvoiding(target, blocked []bool) []bool {
 		}
 	}
 	return seen
-}
-
-// SCCs returns the strongly connected components of the underlying graph
-// in reverse topological order (every edge leaving a component goes to an
-// earlier component in the returned list), using an iterative Tarjan
-// algorithm over the CSR branch ranges.
-func (m *MDP) SCCs() [][]int {
-	c := m.CSR()
-	n := c.n
-	index := make([]int32, n)
-	low := make([]int32, n)
-	onStack := make([]bool, n)
-	for i := range index {
-		index[i] = -1
-	}
-	var (
-		counter int32
-		tarjan  []int32 // Tarjan stack
-		comps   [][]int
-	)
-
-	// frame.bi walks the state's flat branch range: branch targets are the
-	// successor multiset, multiplicity and all, which Tarjan tolerates.
-	type frame struct {
-		v  int32
-		bi int32
-	}
-
-	for root := int32(0); root < int32(n); root++ {
-		if index[root] != -1 {
-			continue
-		}
-		lo, _ := c.stateBranches(root)
-		stack := []frame{{v: root, bi: lo}}
-		index[root] = counter
-		low[root] = counter
-		counter++
-		tarjan = append(tarjan, root)
-		onStack[root] = true
-
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			_, hi := c.stateBranches(f.v)
-			if f.bi < hi {
-				w := c.col[f.bi]
-				f.bi++
-				if index[w] == -1 {
-					index[w] = counter
-					low[w] = counter
-					counter++
-					tarjan = append(tarjan, w)
-					onStack[w] = true
-					wlo, _ := c.stateBranches(w)
-					stack = append(stack, frame{v: w, bi: wlo})
-				} else if onStack[w] && index[w] < low[f.v] {
-					low[f.v] = index[w]
-				}
-				continue
-			}
-			// Post-visit: pop the frame, propagate lowlink, emit SCC.
-			v := f.v
-			stack = stack[:len(stack)-1]
-			if len(stack) > 0 {
-				parent := stack[len(stack)-1].v
-				if low[v] < low[parent] {
-					low[parent] = low[v]
-				}
-			}
-			if low[v] == index[v] {
-				var comp []int
-				for {
-					w := tarjan[len(tarjan)-1]
-					tarjan = tarjan[:len(tarjan)-1]
-					onStack[w] = false
-					comp = append(comp, int(w))
-					if w == v {
-						break
-					}
-				}
-				comps = append(comps, comp)
-			}
-		}
-	}
-	return comps
 }
 
 // Prob0E returns the mask of states from which some adversary avoids the
@@ -220,5 +104,5 @@ func (m *MDP) MinProbOne(target []bool) []bool {
 // reaches the target with positive probability: backward graph
 // reachability of the target.
 func (m *MDP) MaxProbPositive(target []bool) []bool {
-	return m.CanReach(target)
+	return m.canReachAvoiding(target, nil)
 }

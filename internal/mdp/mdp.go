@@ -15,10 +15,10 @@
 //     target within a tick horizon — the quantities compared against the
 //     paper's p and t;
 //   - qualitative reachability sets (probability 0 / probability 1 under
-//     some or all adversaries), used by the liveness baseline;
+//     some or all adversaries), used by the expected-time solver and by
+//     the qualitative progress baseline;
 //   - maximum expected ticks to a target — the quantity compared against
-//     the paper's expected-time bound of 63;
-//   - maximal end components and strongly connected components.
+//     the paper's expected-time bound of 63.
 package mdp
 
 import (
@@ -90,31 +90,6 @@ func (m *MDP) Validate() error {
 		return fmt.Errorf("mdp: NumStates %d != CSR states %d", m.NumStates, m.csr.n)
 	}
 	return m.csr.validate()
-}
-
-// Terminal reports whether state s has no choices.
-func (m *MDP) Terminal(s int) bool { return m.csr.terminal(s) }
-
-// ChoiceWithout returns the first choice of state s none of whose
-// branches leads to a state accepted by ok, as its position among the
-// choices of s and its label; ci is -1 when every choice of s has such a
-// branch. The liveness rank certificates are checked and built with it.
-func (m *MDP) ChoiceWithout(s int, ok func(to int) bool) (ci int, label string) {
-	c := m.csr
-	lo := c.choiceRow[s]
-	for ch := lo; ch < c.choiceRow[s+1]; ch++ {
-		found := false
-		for bi := c.branchRow[ch]; bi < c.branchRow[ch+1]; bi++ {
-			if ok(int(c.col[bi])) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return int(ch - lo), c.label(ch)
-		}
-	}
-	return -1, ""
 }
 
 // Index maps the comparable states of a probabilistic automaton to dense

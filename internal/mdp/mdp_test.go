@@ -265,25 +265,6 @@ func TestReachWithinTicksBadInput(t *testing.T) {
 	}
 }
 
-func TestReachWithinSteps(t *testing.T) {
-	// Cyclic zero-duration MDP: steps-bounded analysis handles cycles.
-	m := mustNew([][]Choice{
-		{{Label: "flip", Branches: []Tr{{To: 1, P: prob.Half()}, {To: 0, P: prob.Half()}}}},
-		{moveTo("go", 2)},
-		nil,
-	})
-	target := mask(3, 2)
-	v, err := m.ReachWithinSteps(target, 4, MinProb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Paths: flip,go within 4 steps: success after k flips and the move,
-	// k <= 3: 1/2 + 1/4 + 1/8 = 7/8.
-	if want := prob.NewRat(7, 8); !v[0].Equal(want) {
-		t.Errorf("P = %v, want %v", v[0], want)
-	}
-}
-
 func TestOptAt(t *testing.T) {
 	vals := []prob.Rat{prob.Half(), prob.One(), prob.NewRat(1, 4)}
 	got, ok := OptAt(vals, []bool{true, false, true}, MinProb)
@@ -373,37 +354,6 @@ func TestExploreBadDuration(t *testing.T) {
 	}
 }
 
-func TestSCCs(t *testing.T) {
-	// 0 <-> 1 -> 2, 2 -> 2 (self loop), 3 isolated.
-	m := mustNew([][]Choice{
-		{moveTo("a", 1)},
-		{moveTo("b", 0), moveTo("c", 2)},
-		{moveTo("d", 2)},
-		nil,
-	})
-	comps := m.SCCs()
-	if len(comps) != 3 {
-		t.Fatalf("got %d SCCs, want 3", len(comps))
-	}
-	sizes := map[int]int{}
-	for _, c := range comps {
-		sizes[len(c)]++
-	}
-	if sizes[2] != 1 || sizes[1] != 2 {
-		t.Errorf("component sizes = %v, want one of size 2 and two of size 1", sizes)
-	}
-	// Reverse topological order: the {0,1} component must come after {2}.
-	pos := map[int]int{}
-	for i, c := range comps {
-		for _, s := range c {
-			pos[s] = i
-		}
-	}
-	if pos[2] > pos[0] {
-		t.Errorf("SCC order not reverse topological: pos(2)=%d > pos(0)=%d", pos[2], pos[0])
-	}
-}
-
 func TestQualitative(t *testing.T) {
 	// 0: choice A -> 1 (target), choice B -> 2 (sink with self loop).
 	// 3: single fair-coin choice between 1 and 3 (a.s. reaches target).
@@ -434,51 +384,6 @@ func TestQualitative(t *testing.T) {
 		if pos[s] != want {
 			t.Errorf("MaxProbPositive[%d] = %t, want %t", s, pos[s], want)
 		}
-	}
-}
-
-func TestReachableFrom(t *testing.T) {
-	m := mustNew([][]Choice{
-		{moveTo("a", 1)},
-		nil,
-		{moveTo("b", 0)},
-	})
-	got := m.ReachableFrom(mask(3, 0))
-	for s, want := range []bool{true, true, false} {
-		if got[s] != want {
-			t.Errorf("ReachableFrom[%d] = %t, want %t", s, got[s], want)
-		}
-	}
-}
-
-func TestMECs(t *testing.T) {
-	// States 0,1 form an end component under the "cycle" choices; state 2
-	// is absorbing with a self-loop (its own MEC); state 3 only leaks.
-	m := mustNew([][]Choice{
-		{moveTo("to1", 1), moveTo("leak", 2)},
-		{moveTo("to0", 0)},
-		{moveTo("stay", 2)},
-		{moveTo("out", 2)},
-	})
-	mecs := m.MECs()
-	if len(mecs) != 2 {
-		t.Fatalf("got %d MECs (%v), want 2", len(mecs), mecs)
-	}
-	var found01, found2 bool
-	for _, mec := range mecs {
-		switch {
-		case len(mec.States) == 2 && mec.States[0] == 0 && mec.States[1] == 1:
-			found01 = true
-			// The leaking choice of state 0 must not be in the MEC.
-			if got := mec.Choices[0]; len(got) != 1 || got[0] != 0 {
-				t.Errorf("MEC choices for state 0 = %v, want [0]", got)
-			}
-		case len(mec.States) == 1 && mec.States[0] == 2:
-			found2 = true
-		}
-	}
-	if !found01 || !found2 {
-		t.Errorf("MECs = %+v, want {0,1} and {2}", mecs)
 	}
 }
 
@@ -588,40 +493,6 @@ func TestMinExpectedTicks(t *testing.T) {
 			t.Errorf("E_min %g not below E_max %g", lo[0], hi[0])
 		}
 	})
-}
-
-func TestReachUnboundedFloat(t *testing.T) {
-	// Geometric reaches the target with probability 1 under the only
-	// adversary; a controllable escape gives min 0 / max 1.
-	m := mustNew([][]Choice{
-		{tickCoin("flip", 1, 0)},
-		nil,
-		{tickTo("good", 1), tickTo("bad", 3)},
-		{tickTo("stay", 3)},
-	})
-	target := mask(4, 1)
-
-	vMin, err := m.ReachUnboundedFloat(target, MinProb, VIConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(vMin[0]-1) > 1e-9 {
-		t.Errorf("min P(0) = %g, want 1", vMin[0])
-	}
-	if vMin[2] != 0 {
-		t.Errorf("min P(2) = %g, want 0", vMin[2])
-	}
-
-	vMax, err := m.ReachUnboundedFloat(target, MaxProb, VIConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vMax[2] != 1 {
-		t.Errorf("max P(2) = %g, want 1", vMax[2])
-	}
-	if vMax[3] != 0 {
-		t.Errorf("max P(3) = %g, want 0", vMax[3])
-	}
 }
 
 // TestHorizonMonotonicity checks, on a pseudo-randomly generated family of

@@ -117,57 +117,6 @@ func (c *CSR) optOneState(s int32, target []bool, goal Goal, cur, prev []prob.Ra
 	return best
 }
 
-// ReachWithinSteps computes, for every state, the optimal probability that
-// a target state is visited within at most `steps` transitions (of any
-// duration). Unlike ReachWithinTicks it works on arbitrary MDPs, cycles
-// included, because the horizon decreases on every move: each layer is a
-// pure (Jacobi) function of the previous one, swept in parallel.
-func (m *MDP) ReachWithinSteps(target []bool, steps int, goal Goal) ([]prob.Rat, error) {
-	if len(target) != m.NumStates {
-		return nil, fmt.Errorf("mdp: target mask has %d entries, want %d", len(target), m.NumStates)
-	}
-	if steps < 0 {
-		return nil, fmt.Errorf("mdp: negative step bound %d", steps)
-	}
-	c := m.CSR()
-	workers := m.workers()
-	prev := make([]prob.Rat, c.n)
-	for s := range prev {
-		if target[s] {
-			prev[s] = prob.One()
-		}
-	}
-	for k := 0; k < steps; k++ {
-		cur := make([]prob.Rat, c.n)
-		parallelFor(workers, c.n, func(w, a, b int) {
-			for si := a; si < b; si++ {
-				s := int32(si)
-				if target[s] {
-					cur[s] = prob.One()
-					continue
-				}
-				cLo, cHi := c.choiceRow[s], c.choiceRow[s+1]
-				if cLo == cHi {
-					continue
-				}
-				var best prob.Rat
-				for ci := cLo; ci < cHi; ci++ {
-					var v prob.Rat
-					for bi := c.branchRow[ci]; bi < c.branchRow[ci+1]; bi++ {
-						v = v.Add(c.pr(bi).Mul(prev[c.col[bi]]))
-					}
-					if ci == cLo || goal.better(v, best) {
-						best = v
-					}
-				}
-				cur[s] = best
-			}
-		})
-		prev = cur
-	}
-	return prev, nil
-}
-
 // OptAt aggregates a value vector over a set of states: the worst (for
 // MinProb, the minimum) value among the states in the mask. It returns
 // ok = false when the mask is empty.

@@ -127,13 +127,6 @@ func (ins *Instrumentation) Metrics() *SimMetrics {
 	return ins.Sim
 }
 
-// AddBudget grows the trial budget behind the ETA.
-func (ins *Instrumentation) AddBudget(trials int) {
-	if ins != nil {
-		ins.Sim.AddBudget(trials)
-	}
-}
-
 // PhaseStart records a phase start in the manifest, if one is being
 // written.
 func (ins *Instrumentation) PhaseStart(name string) {

@@ -191,7 +191,6 @@ func TestInstrumentationInert(t *testing.T) {
 	if ins.Metrics() != nil {
 		t.Error("nil instrumentation returned metrics")
 	}
-	ins.AddBudget(10)
 	ins.PhaseStart("p")
 	ins.PhaseDone("p", "", "", nil)
 	if err := ins.Close(nil); err != nil {

@@ -55,8 +55,7 @@ type SimMetrics struct {
 
 // NewSimMetrics registers the simulation instruments (sim.* names) in reg
 // and returns the hook to hand to sim.ParallelOptions.Metrics. total is
-// the overall trial budget the progress display measures ETA against; use
-// AddBudget for multi-phase runs whose budget grows as phases are planned.
+// the overall trial budget the progress display measures ETA against.
 func NewSimMetrics(reg *Registry, total int) *SimMetrics {
 	m := &SimMetrics{
 		start:       time.Now(),
@@ -80,9 +79,6 @@ func NewSimMetrics(reg *Registry, total int) *SimMetrics {
 	m.total.Store(int64(total))
 	return m
 }
-
-// AddBudget grows the total trial budget the ETA is computed against.
-func (m *SimMetrics) AddBudget(trials int) { m.total.Add(int64(trials)) }
 
 // TrialDone records one successfully completed trial: its step count, its
 // wall-clock cost, and — when it reached the target — the reach time.

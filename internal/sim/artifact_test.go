@@ -80,7 +80,7 @@ func TestArtifactLegacyV1(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadCheckpointSet(path)
+	got, _, err := (&ArtifactStore{}).Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -160,21 +160,3 @@ func (c *Checkpoint) validateFor(kind string, seed int64, trials, chunkSize int)
 // on-disk unit used by the CLIs, which run several estimator stages
 // (sizes × policies × estimators) against one state file.
 type CheckpointSet map[string]*Checkpoint
-
-// LoadCheckpointSet reads a state file written by Save through a default
-// ArtifactStore: checksums verified, fallback to the newest valid
-// generation. A missing file is not an error: it returns an empty set,
-// so "-resume path" on a first run simply starts fresh.
-func LoadCheckpointSet(path string) (CheckpointSet, error) {
-	var s ArtifactStore
-	cs, _, err := s.Load(path)
-	return cs, err
-}
-
-// Save writes the set through a default ArtifactStore: atomic, durable
-// (fsync of file and directory), checksummed, keeping the last three
-// generations.
-func (cs CheckpointSet) Save(path string) error {
-	var s ArtifactStore
-	return s.Save(path, cs)
-}

@@ -3,7 +3,7 @@ package sim
 // Fuzzing the artifact loader against hostile bytes: whatever is on disk
 // where a checkpoint state file should be — truncated JSON, bit-flipped
 // envelopes, checksum/payload disagreements, outright garbage —
-// LoadCheckpointSet must return a typed error (wrapping
+// ArtifactStore.Load must return a typed error (wrapping
 // fault.ErrCorruptArtifact for malformed content) or a valid set, and
 // never panic. Run with
 //
@@ -48,21 +48,22 @@ func FuzzLoadCheckpointSet(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		cs, err := LoadCheckpointSet(path)
+		var store ArtifactStore
+		cs, _, err := store.Load(path)
 		if err != nil {
 			// Malformed bytes must surface as the typed corruption error,
 			// never a panic and never an untyped failure.
 			if !errors.Is(err, fault.ErrCorruptArtifact) {
-				t.Fatalf("LoadCheckpointSet error is not ErrCorruptArtifact: %v", err)
+				t.Fatalf("ArtifactStore.Load error is not ErrCorruptArtifact: %v", err)
 			}
 			return
 		}
 		// A set that loads must round-trip: save it and load it back.
 		out := filepath.Join(dir, "roundtrip.json")
-		if err := cs.Save(out); err != nil {
+		if err := store.Save(out, cs); err != nil {
 			t.Fatalf("round-trip save of loaded set failed: %v", err)
 		}
-		if _, err := LoadCheckpointSet(out); err != nil {
+		if _, _, err := store.Load(out); err != nil {
 			t.Fatalf("round-trip load failed: %v", err)
 		}
 	})

@@ -338,10 +338,11 @@ func TestCheckpointMismatch(t *testing.T) {
 }
 
 // TestCheckpointSetRoundTrip: the on-disk form restores bit-identically
-// through Save/Load, and a missing state file is an empty set.
+// through ArtifactStore Save/Load, and a missing state file is an empty set.
 func TestCheckpointSetRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "state.json")
-	cs, err := LoadCheckpointSet(path)
+	var store ArtifactStore
+	cs, _, err := store.Load(path)
 	if err != nil || len(cs) != 0 {
 		t.Fatalf("missing file: set %v, err %v; want empty, nil", cs, err)
 	}
@@ -355,10 +356,10 @@ func TestCheckpointSetRoundTrip(t *testing.T) {
 		t.Fatalf("err = %v, want ErrInterrupted", err)
 	}
 	cs["stage"] = rep.Checkpoint
-	if err := cs.Save(path); err != nil {
+	if err := store.Save(path, cs); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadCheckpointSet(path)
+	loaded, _, err := store.Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,8 @@
 //     arrows checked and composed into T --13,1/8--> C, plus a dense-time
 //     Monte Carlo engine (sim) with programmable malicious schedulers;
 //   - a second case study (election) and a qualitative Zuck–Pnueli-style
-//     baseline (liveness) for contrast.
+//     baseline for contrast: almost-sure progress from every T-state
+//     (dining.Analysis.QualitativeProgress over mdp.MinProbOne).
 //
 // The type aliases and constructors below re-export the stable API so that
 // examples, commands and downstream users have a single import; the
