@@ -17,6 +17,11 @@
 // baseline for a /op unit regresses on any increase rather than
 // dividing by zero.
 //
+// Every artifact records a machine fingerprint — commit, Go version, CPU
+// model, nproc and GOMAXPROCS, the fields of perfbench's fingerprint
+// line — and -compare prints both and says when the machines differ, so
+// a floor missed on another host reads as such.
+//
 // The repeatable -floor flag adds absolute constraints on the new
 // artifact, independent of the old one: -floor 'Benchmark:unit=value'
 // fails the gate when the named metric is below value (units ending in
@@ -37,6 +42,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"os/exec"
 	"runtime"
 	"sort"
 	"strconv"
@@ -64,10 +70,51 @@ type Result struct {
 
 // Report is the document benchjson writes.
 type Report struct {
-	GoVersion  string   `json:"go_version"`
-	GOOS       string   `json:"goos"`
-	GOARCH     string   `json:"goarch"`
-	Benchmarks []Result `json:"benchmarks"`
+	GoVersion string `json:"go_version"`
+	GOOS      string `json:"goos"`
+	GOARCH    string `json:"goarch"`
+	// Fingerprint is nil in artifacts written before it was recorded.
+	Fingerprint *Fingerprint `json:"fingerprint,omitempty"`
+	Benchmarks  []Result     `json:"benchmarks"`
+}
+
+// Fingerprint identifies the code and machine an artifact was measured
+// on.
+type Fingerprint struct {
+	Commit     string `json:"commit"`
+	Go         string `json:"go"`
+	CPU        string `json:"cpu"`
+	NProc      int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+}
+
+// String renders the fingerprint in perfbench's format.
+func (f *Fingerprint) String() string {
+	if f == nil {
+		return "(none recorded)"
+	}
+	return fmt.Sprintf("commit=%s go=%s cpu=%q nproc=%d gomaxprocs=%d", f.Commit, f.Go, f.CPU, f.NProc, f.GOMAXPROCS)
+}
+
+// fingerprint describes this process's machine: the commit of the
+// working directory's git checkout, the Go version, the first CPU model
+// in /proc/cpuinfo, the CPU count and GOMAXPROCS. Fields it cannot read
+// are "unknown".
+func fingerprint() *Fingerprint {
+	f := &Fingerprint{Commit: "unknown", Go: runtime.Version(), CPU: "unknown",
+		NProc: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
+	if out, err := exec.Command("git", "rev-parse", "HEAD").Output(); err == nil {
+		f.Commit = strings.TrimSpace(string(out))
+	}
+	if data, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(data), "\n") {
+			if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+				f.CPU = strings.TrimSpace(v)
+				break
+			}
+		}
+	}
+	return f
 }
 
 // event is the subset of a test2json record benchjson needs.
@@ -91,10 +138,11 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	}
 
 	report := Report{
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		Benchmarks: []Result{},
+		GoVersion:   runtime.Version(),
+		GOOS:        runtime.GOOS,
+		GOARCH:      runtime.GOARCH,
+		Fingerprint: fingerprint(),
+		Benchmarks:  []Result{},
 	}
 	// test2json splits a benchmark result across output events — the name
 	// (ending in "\t", no newline) arrives separately from the metrics —
@@ -230,6 +278,15 @@ func compare(args []string, stdout io.Writer) error {
 	newByName := map[string]Result{}
 	for _, r := range newRep.Benchmarks {
 		newByName[r.Name] = r
+	}
+
+	fmt.Fprintf(stdout, "old fingerprint: %v\n", oldRep.Fingerprint)
+	fmt.Fprintf(stdout, "new fingerprint: %v\n", newRep.Fingerprint)
+	if oldRep.Fingerprint == nil || newRep.Fingerprint == nil {
+		fmt.Fprintln(stdout, "note: a fingerprint is missing, so the runs may come from different machines")
+	} else if old, cur := *oldRep.Fingerprint, *newRep.Fingerprint; old.Go != cur.Go || old.CPU != cur.CPU ||
+		old.NProc != cur.NProc || old.GOMAXPROCS != cur.GOMAXPROCS {
+		fmt.Fprintln(stdout, "note: the runs come from different machines or settings, so deltas and floors compare across them")
 	}
 
 	tw := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -53,6 +54,9 @@ func TestRunRawAndJSONInput(t *testing.T) {
 	}
 	if len(rep.Benchmarks) != 3 || rep.GoVersion == "" {
 		t.Fatalf("report = %+v", rep)
+	}
+	if fp := rep.Fingerprint; fp == nil || fp.Go != runtime.Version() || fp.NProc < 1 || fp.GOMAXPROCS < 1 || fp.Commit == "" || fp.CPU == "" {
+		t.Errorf("fingerprint = %v", fp)
 	}
 
 	// The same lines arriving as a `go test -json` stream, written to -o.
@@ -168,6 +172,54 @@ func TestCompare(t *testing.T) {
 	sb.Reset()
 	if err := run([]string{"-compare", oldPath, thr, "-threshold", "0.5"}, nil, &sb); err != nil {
 		t.Errorf("loose threshold still failed: %v", err)
+	}
+}
+
+// TestCompareFingerprints: -compare prints both fingerprints and notes
+// when the machines differ or a fingerprint is missing; a commit change
+// alone is no note. None of it moves the verdict.
+func TestCompareFingerprints(t *testing.T) {
+	dir := t.TempDir()
+	bench := Result{Name: "BenchmarkA-2", Iterations: 10, Metrics: map[string]float64{"ns/op": 1000}}
+	write := func(name string, fp *Fingerprint) string {
+		path := filepath.Join(dir, name)
+		data, err := json.Marshal(Report{GoVersion: "go", Fingerprint: fp, Benchmarks: []Result{bench}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	here := &Fingerprint{Commit: "aaa", Go: "go1.24.0", CPU: "Xeon", NProc: 2, GOMAXPROCS: 2}
+	later := *here
+	later.Commit = "bbb"
+	there := later
+	there.CPU, there.NProc = "Epyc", 8
+	base := write("base.json", here)
+	for _, tc := range []struct {
+		name, path string
+		want, not  []string
+	}{
+		{"same machine", write("later.json", &later), []string{`old fingerprint: commit=aaa go=go1.24.0 cpu="Xeon" nproc=2 gomaxprocs=2`, "new fingerprint: commit=bbb"}, []string{"note:"}},
+		{"other machine", write("there.json", &there), []string{"different machines or settings"}, nil},
+		{"no fingerprint", write("none.json", nil), []string{"new fingerprint: (none recorded)", "fingerprint is missing"}, nil},
+	} {
+		var sb strings.Builder
+		if err := run([]string{"-compare", base, tc.path}, nil, &sb); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+		for _, want := range tc.want {
+			if !strings.Contains(sb.String(), want) {
+				t.Errorf("%s: output lacks %q:\n%s", tc.name, want, sb.String())
+			}
+		}
+		for _, not := range tc.not {
+			if strings.Contains(sb.String(), not) {
+				t.Errorf("%s: output has %q:\n%s", tc.name, not, sb.String())
+			}
+		}
 	}
 }
 

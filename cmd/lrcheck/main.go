@@ -204,8 +204,8 @@ func exportPRISM(a *dining.Analysis, prefix string) error {
 		init[0] = true
 	}
 	return a.MDP.ExportLab(lab, init, map[string][]bool{
-		"trying":   a.Index.Mask(func(s dining.PState) bool { return a.Set("T").Contains(s) }),
-		"critical": a.Index.Mask(func(s dining.PState) bool { return a.Set("C").Contains(s) }),
+		"trying":   a.Set("T").Mask(a.Index),
+		"critical": a.Set("C").Mask(a.Index),
 	})
 }
 

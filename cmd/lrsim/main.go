@@ -108,9 +108,17 @@ func run(ctx context.Context, args []string) error {
 	if err != nil {
 		return mcrun.UsageError(fs, "%v", err)
 	}
-	names := strings.Split(*policies, ",")
+	var pols []policy
+	for _, name := range strings.Split(*policies, ",") {
+		name = strings.TrimSpace(name)
+		mk, err := dining.Policy(name)
+		if err != nil {
+			return mcrun.UsageError(fs, "%v", err)
+		}
+		pols = append(pols, policy{name, mk})
+	}
 
-	stages := 2 * len(ns) * len(names)
+	stages := 2 * len(ns) * len(pols)
 	if *curveMax > 0 {
 		stages++
 	}
@@ -119,10 +127,16 @@ func run(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	return r.Finish(experiments(ctx, r, ns, names, *trials, *within, *curveMax))
+	return r.Finish(experiments(ctx, r, ns, pols, *trials, *within, *curveMax))
 }
 
-func experiments(ctx context.Context, r *mcrun.Run, ns []int, names []string, trials int, within float64, curveMax int) error {
+// policy is a resolved -policies entry.
+type policy struct {
+	name string
+	mk   func() sim.Policy[dining.State]
+}
+
+func experiments(ctx context.Context, r *mcrun.Run, ns []int, pols []policy, trials int, within float64, curveMax int) error {
 	ctx, cancel := mcrun.Context(ctx, r.Budget)
 	defer cancel()
 	if err := r.LoadCheckpoints(); err != nil {
@@ -167,13 +181,9 @@ func experiments(ctx context.Context, r *mcrun.Run, ns []int, names []string, tr
 	}
 
 	for _, n := range ns {
-		for _, name := range names {
-			name = strings.TrimSpace(name)
+		for _, pol := range pols {
+			name, mk := pol.name, pol.mk
 			model, err := newModel(n)
-			if err != nil {
-				return err
-			}
-			mk, err := dining.Policy(name)
 			if err != nil {
 				return err
 			}
@@ -210,12 +220,8 @@ func experiments(ctx context.Context, r *mcrun.Run, ns []int, names []string, tr
 
 	if curveMax > 0 {
 		n := ns[0]
-		name := strings.TrimSpace(names[0])
+		name, mk := pols[0].name, pols[0].mk
 		model, err := newModel(n)
-		if err != nil {
-			return err
-		}
-		mk, err := dining.Policy(name)
 		if err != nil {
 			return err
 		}
@@ -259,8 +265,8 @@ func parseSizes(s string) ([]int, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad ring size %q: %v", part, err)
 		}
-		if n <= 0 {
-			return nil, fmt.Errorf("ring size must be positive, got %d", n)
+		if _, err := dining.New(n); err != nil {
+			return nil, err
 		}
 		out = append(out, n)
 	}

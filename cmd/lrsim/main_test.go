@@ -62,6 +62,9 @@ func TestRunBadInputs(t *testing.T) {
 		{"-sizes", "3", "-policies", "unknown"},
 		{"-sizes", "3", "-policies", "paced:2"},
 		{"-sizes", "3", "-policies", "paced:x"},
+		// A bad name after a good one is refused before the good
+		// policy's stages run.
+		{"-sizes", "3", "-policies", "slowest,bogus", "-trials", "100"},
 		{"-sizes", "1", "-trials", "1"},
 		// Flag validation: negative or zero values must be rejected up
 		// front with a usage message, not fed to the engine.
@@ -78,8 +81,12 @@ func TestRunBadInputs(t *testing.T) {
 		{"-sizes", "3", "-budget", "-1s"},
 	}
 	for _, args := range tests {
-		if err := run(context.Background(), args); err == nil {
+		out, err := captureRun(t, context.Background(), args)
+		if err == nil {
 			t.Errorf("args %v accepted", args)
+		}
+		if out != "" {
+			t.Errorf("args %v printed before failing:\n%s", args, out)
 		}
 	}
 }
@@ -214,8 +221,12 @@ func TestRunBadObservabilityFlags(t *testing.T) {
 		{"-sizes", "3", "-pprof", "bad addr:xyz"},
 	}
 	for _, args := range tests {
-		if err := run(context.Background(), args); err == nil {
+		out, err := captureRun(t, context.Background(), args)
+		if err == nil {
 			t.Errorf("args %v accepted", args)
+		}
+		if out != "" {
+			t.Errorf("args %v printed before failing:\n%s", args, out)
 		}
 	}
 }

@@ -5,7 +5,9 @@
 //	simd coordinate owns the job: it listens for workers, leases out
 //	                chunk ranges, merges CRC-checked results
 //	                first-valid-wins, and prints the estimate when every
-//	                chunk is home.
+//	                chunk is home. It then keeps serving for one
+//	                -lease-ttl, answering Done, so a worker that first
+//	                asks after the last chunk landed exits cleanly.
 //	simd work       pulls leases from a coordinator, runs them through
 //	                the local parallel engine, heartbeats them alive,
 //	                and streams results back.
@@ -346,8 +348,10 @@ func runCoordinate(ctx context.Context, args []string) error {
 	mcrun.ReportQuarantine("simd", "", rep)
 
 	if waitErr == nil && ferr == nil {
-		// Complete run: the one canonical stdout line.
+		// Complete run: the one canonical stdout line, then a grace
+		// period in which late workers are told the job is done.
 		fmt.Printf("%s: %s\n", jobLine(c.Job()), est)
+		c.Linger(ctx)
 		return nil
 	}
 

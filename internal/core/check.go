@@ -65,7 +65,8 @@ func intTime(t prob.Rat) (int, error) {
 // The model's MDP and state index are produced by mdp.Explore (or
 // ExplorePacked) from a sched.Product automaton; the statement's schema
 // is only recorded, not interpreted — the digitization is fixed by the
-// product.
+// product. Sets materialised on ix are read from their bits; any other
+// set is evaluated by its predicate.
 func CheckStatement[S comparable](m *mdp.MDP, ix *mdp.Index[S], st Statement[S]) (CheckResult[S], error) {
 	res := CheckResult[S]{Stmt: st}
 	if err := st.Validate(); err != nil {
@@ -76,8 +77,8 @@ func CheckStatement[S comparable](m *mdp.MDP, ix *mdp.Index[S], st Statement[S])
 		return res, err
 	}
 
-	fromMask := ix.Mask(func(s S) bool { return st.From.Contains(s) })
-	toMask := ix.Mask(func(s S) bool { return st.To.Contains(s) })
+	fromMask := st.From.Mask(ix)
+	toMask := st.To.Mask(ix)
 	for _, in := range fromMask {
 		if in {
 			res.FromCount++

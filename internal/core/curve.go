@@ -25,8 +25,8 @@ type CurvePoint struct {
 // the curve delivers them — every t where the curve is below p is a
 // certified counterexample horizon.
 func WorstCaseCurve[S comparable](m *mdp.MDP, ix *mdp.Index[S], from, to Set[S], maxHorizon int) ([]CurvePoint, error) {
-	fromMask := ix.Mask(func(s S) bool { return from.Contains(s) })
-	toMask := ix.Mask(func(s S) bool { return to.Contains(s) })
+	fromMask := from.Mask(ix)
+	toMask := to.Mask(ix)
 	hasFrom := false
 	for _, in := range fromMask {
 		if in {

@@ -16,17 +16,32 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"strings"
+
+	"repro/internal/mdp"
 )
 
-// Set is a named set of states, given extensionally by a predicate. Names
-// follow the paper's conventions ("T", "RT", "F∪G∪P", ...) and appear in
-// statements and proof trees.
+// Set is a named set of states. Pred is its definition; a set returned by
+// Universe.Materialize also carries its membership bits over that
+// universe's index, which the universe's relations and the checkers read
+// instead of calling Pred again. Names follow the paper's conventions
+// ("T", "RT", "F∪G∪P", ...) and appear in statements and proof trees.
 type Set[S comparable] struct {
 	// Name renders the set in statements.
 	Name string
 	// Pred reports membership.
 	Pred func(S) bool
+
+	bits *members[S]
+}
+
+// members is a set's membership bitset over one index, in the layout of
+// mdp.Index.Bits.
+type members[S comparable] struct {
+	ix    *mdp.Index[S]
+	words []uint64
 }
 
 // NewSet builds a named set.
@@ -37,7 +52,23 @@ func NewSet[S comparable](name string, pred func(S) bool) Set[S] {
 // Contains reports membership of s, treating a nil predicate as empty.
 func (u Set[S]) Contains(s S) bool { return u.Pred != nil && u.Pred(s) }
 
-// Union returns the union of the given sets, named "A∪B∪...".
+// Mask returns the set's membership over ix as the boolean mask the mdp
+// solvers take: unpacked from its bits when it was materialised on ix,
+// otherwise ix.Mask of its predicate.
+func (u Set[S]) Mask(ix *mdp.Index[S]) []bool {
+	if u.bits == nil || u.bits.ix != ix {
+		return ix.Mask(u.Contains)
+	}
+	mask := make([]bool, ix.Len())
+	for i := range mask {
+		mask[i] = u.bits.words[i>>6]&(1<<(i&63)) != 0
+	}
+	return mask
+}
+
+// Union returns the union of the given sets, named "A∪B∪...". When every
+// operand was materialised on the same index, so is the union: its bits
+// are the operands' bits ORed.
 func Union[S comparable](sets ...Set[S]) Set[S] {
 	names := make([]string, len(sets))
 	preds := make([]func(S) bool, len(sets))
@@ -55,56 +86,100 @@ func Union[S comparable](sets ...Set[S]) Set[S] {
 			}
 			return false
 		},
+		bits: unionBits(sets),
 	}
 }
 
+// unionBits ORs the operands' bits, or returns nil unless every operand
+// was materialised on the same index.
+func unionBits[S comparable](sets []Set[S]) *members[S] {
+	if len(sets) == 0 || sets[0].bits == nil {
+		return nil
+	}
+	ix := sets[0].bits.ix
+	for _, set := range sets[1:] {
+		if set.bits == nil || set.bits.ix != ix {
+			return nil
+		}
+	}
+	words := slices.Clone(sets[0].bits.words)
+	for _, set := range sets[1:] {
+		for i, w := range set.bits.words {
+			words[i] |= w
+		}
+	}
+	return &members[S]{ix: ix, words: words}
+}
+
 // Universe is an explicit finite collection of states over which set
-// relations (subset, equality) are decided extensionally. The worst-case
-// checker uses the reachable states of the model under analysis, matching
-// the paper's convention that state sets are sets of reachable states.
+// relations (subset, equality) are decided extensionally, as word loops
+// over membership bitsets. The worst-case checker uses the reachable
+// states of the model under analysis, matching the paper's convention
+// that state sets are sets of reachable states.
 type Universe[S comparable] struct {
-	states []S
+	ix      *mdp.Index[S]
+	workers int
 }
 
 // NewUniverse builds a universe from a state list; the slice is copied.
 func NewUniverse[S comparable](states []S) *Universe[S] {
-	return &Universe[S]{states: append([]S(nil), states...)}
+	return &Universe[S]{ix: mdp.NewIndex(states), workers: 1}
+}
+
+// IndexUniverse is the universe of an explored model's states, sharing
+// its index. Sets are materialised on up to workers goroutines (0 means
+// one per CPU), so their predicates must be safe for concurrent use; any
+// worker count yields the same bits.
+func IndexUniverse[S comparable](ix *mdp.Index[S], workers int) *Universe[S] {
+	return &Universe[S]{ix: ix, workers: workers}
 }
 
 // Len returns the number of states in the universe.
-func (u *Universe[S]) Len() int { return len(u.states) }
+func (u *Universe[S]) Len() int { return u.ix.Len() }
+
+// Materialize returns the set carrying its membership bits over the
+// universe, evaluating its predicate once per state.
+func (u *Universe[S]) Materialize(set Set[S]) Set[S] {
+	set.bits = &members[S]{ix: u.ix, words: u.words(set)}
+	return set
+}
+
+// words returns the set's membership bits over the universe: its own when
+// it was materialised here, otherwise evaluated now.
+func (u *Universe[S]) words(set Set[S]) []uint64 {
+	if set.bits != nil && set.bits.ix == u.ix {
+		return set.bits.words
+	}
+	return u.ix.Bits(set.Contains, u.workers)
+}
 
 // Subset reports whether a ⊆ b over the universe.
 func (u *Universe[S]) Subset(a, b Set[S]) bool {
-	for _, s := range u.states {
-		if a.Contains(s) && !b.Contains(s) {
-			return false
-		}
-	}
-	return true
+	_, found := u.Witness(a, b)
+	return !found
 }
 
 // Equal reports whether a and b contain the same universe states.
 func (u *Universe[S]) Equal(a, b Set[S]) bool {
-	return u.Subset(a, b) && u.Subset(b, a)
+	return slices.Equal(u.words(a), u.words(b))
 }
 
 // Count returns how many universe states are in the set.
 func (u *Universe[S]) Count(a Set[S]) int {
 	n := 0
-	for _, s := range u.states {
-		if a.Contains(s) {
-			n++
-		}
+	for _, w := range u.words(a) {
+		n += bits.OnesCount64(w)
 	}
 	return n
 }
 
-// Witness returns a universe state in a but not in b, for diagnostics.
+// Witness returns the first universe state in a but not in b, for
+// diagnostics.
 func (u *Universe[S]) Witness(a, b Set[S]) (S, bool) {
-	for _, s := range u.states {
-		if a.Contains(s) && !b.Contains(s) {
-			return s, true
+	wb := u.words(b)
+	for i, w := range u.words(a) {
+		if d := w &^ wb[i]; d != 0 {
+			return u.ix.State(i<<6 + bits.TrailingZeros64(d)), true
 		}
 	}
 	var zero S

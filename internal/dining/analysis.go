@@ -30,7 +30,8 @@ type Analysis struct {
 	// MDP and Index hold the enumerated product.
 	MDP   *mdp.MDP
 	Index *mdp.Index[PState]
-	// Universe is the reachable product space, for subset side conditions.
+	// Universe is the reachable product space over Index, for subset side
+	// conditions; the registry sets are materialised on it.
 	Universe *core.Universe[PState]
 	// Schema names the digitized Unit-Time schema.
 	Schema core.SchemaInfo
@@ -72,18 +73,13 @@ func NewAnalysisOpts(n, k int, opts Opts) (*Analysis, error) {
 }
 
 func newAnalysis(n, k int, model *Model, m *mdp.MDP, ix *mdp.Index[PState]) *Analysis {
-	states := make([]PState, ix.Len())
-	for i := range states {
-		states[i] = ix.State(i)
-	}
-
 	a := &Analysis{
 		N:        n,
 		K:        k,
 		Model:    model,
 		MDP:      m,
 		Index:    ix,
-		Universe: core.NewUniverse(states),
+		Universe: core.IndexUniverse(ix, m.Workers),
 		Schema:   core.UnitTimeSchema(k),
 	}
 	a.sets = map[string]core.Set[PState]{
@@ -98,11 +94,11 @@ func newAnalysis(n, k int, model *Model, m *mdp.MDP, ix *mdp.Index[PState]) *Ana
 }
 
 func (a *Analysis) set(name string, pred func(State) bool) core.Set[PState] {
-	return core.NewSet(name, sched.LiftPred(pred))
+	return a.Universe.Materialize(core.NewSet(name, sched.LiftPred(pred)))
 }
 
 // Sets returns the registry of the paper's named state sets, lifted to
-// product states.
+// product states and materialised on the Universe.
 func (a *Analysis) Sets() map[string]core.Set[PState] {
 	out := make(map[string]core.Set[PState], len(a.sets))
 	for k, v := range a.sets {
@@ -252,28 +248,33 @@ func (a *Analysis) ExpectedTimeBound() (prob.Rat, error) {
 // process is in C, from the worst reachable state in T. It is the measured
 // counterpart of ExpectedTimeBound.
 func (a *Analysis) WorstExpectedTime() (float64, PState, error) {
-	target := a.Index.Mask(sched.LiftPred(InC))
-	values, err := a.MDP.MaxExpectedTicks(target, mdp.VIConfig{})
+	return worstExpectedTime(a.MDP, a.Index, a.Set("T"), a.Set("C"))
+}
+
+// worstExpectedTime is the largest maximum expected time to reach `to`
+// over the states of from, and the first state attaining it.
+func worstExpectedTime(m *mdp.MDP, ix *mdp.Index[PState], from, to core.Set[PState]) (float64, PState, error) {
+	values, err := m.MaxExpectedTicks(to.Mask(ix), mdp.VIConfig{})
 	if err != nil {
 		return 0, PState{}, err
 	}
-	worst := -1.0
-	var worstState PState
-	inT := sched.LiftPred(InT)
-	for i := 0; i < a.Index.Len(); i++ {
-		s := a.Index.State(i)
-		if !inT(s) {
-			continue
-		}
-		if values[i] > worst {
-			worst = values[i]
-			worstState = s
-		}
-	}
-	if worst < 0 {
+	i, ok := worstIn(values, from.Mask(ix))
+	if !ok {
 		return 0, PState{}, core.ErrEmptyFrom
 	}
-	return worst, worstState, nil
+	return values[i], ix.State(i), nil
+}
+
+// worstIn returns the first state of mask with the largest value, or
+// ok = false when mask is empty.
+func worstIn(values []float64, mask []bool) (worst int, ok bool) {
+	worst = -1
+	for i, in := range mask {
+		if in && (worst < 0 || values[i] > values[worst]) {
+			worst = i
+		}
+	}
+	return worst, worst >= 0
 }
 
 // BestExpectedTime computes the infimum over digitized adversaries of the
@@ -281,25 +282,15 @@ func (a *Analysis) WorstExpectedTime() (float64, PState, error) {
 // that metric — the cooperative-scheduler counterpart of
 // WorstExpectedTime, bounding the spread any scheduler can induce.
 func (a *Analysis) BestExpectedTime() (float64, error) {
-	target := a.Index.Mask(sched.LiftPred(InC))
-	values, err := a.MDP.MinExpectedTicks(target, mdp.VIConfig{})
+	values, err := a.MDP.MinExpectedTicks(a.Set("C").Mask(a.Index), mdp.VIConfig{})
 	if err != nil {
 		return 0, err
 	}
-	worst := -1.0
-	inT := sched.LiftPred(InT)
-	for i := 0; i < a.Index.Len(); i++ {
-		if !inT(a.Index.State(i)) {
-			continue
-		}
-		if values[i] > worst {
-			worst = values[i]
-		}
-	}
-	if worst < 0 {
+	i, ok := worstIn(values, a.Set("T").Mask(a.Index))
+	if !ok {
 		return 0, core.ErrEmptyFrom
 	}
-	return worst, nil
+	return values[i], nil
 }
 
 // ProgressCurve computes the exact worst-case probability of reaching C
@@ -325,8 +316,7 @@ func (a *Analysis) WorstWitness(horizon int) ([]string, error) {
 	if !ok {
 		return nil, fmt.Errorf("dining: worst state not indexed")
 	}
-	target := a.Index.Mask(sched.LiftPred(InC))
-	steps, err := a.MDP.WorstWitness(target, horizon, fromID, 0)
+	steps, err := a.MDP.WorstWitness(a.Set("C").Mask(a.Index), horizon, fromID, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -348,11 +338,9 @@ func (a *Analysis) WorstWitness(horizon int) ([]string, error) {
 // one? It returns the number of T-states and how many of them satisfy the
 // almost-sure property.
 func (a *Analysis) QualitativeProgress() (total, almostSure int) {
-	target := a.Index.Mask(sched.LiftPred(InC))
-	one := a.MDP.MinProbOne(target)
-	inT := sched.LiftPred(InT)
-	for i := 0; i < a.Index.Len(); i++ {
-		if !inT(a.Index.State(i)) {
+	one := a.MDP.MinProbOne(a.Set("C").Mask(a.Index))
+	for i, in := range a.Set("T").Mask(a.Index) {
+		if !in {
 			continue
 		}
 		total++

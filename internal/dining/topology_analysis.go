@@ -21,6 +21,9 @@ type GeneralAnalysis struct {
 	Index    *mdp.Index[PState]
 	Universe *core.Universe[PState]
 	Schema   core.SchemaInfo
+
+	// trying and critical are T and C, materialised on Universe.
+	trying, critical core.Set[PState]
 }
 
 // NewGeneralAnalysis enumerates the product of the topology under the
@@ -38,26 +41,25 @@ func NewGeneralAnalysis(t Topology, k, limit int) (*GeneralAnalysis, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dining: enumerating %s product: %w", t.Name, err)
 	}
-	states := make([]PState, ix.Len())
-	for i := range states {
-		states[i] = ix.State(i)
-	}
+	u := core.IndexUniverse(ix, m.Workers)
 	return &GeneralAnalysis{
 		Topo:     t,
 		K:        k,
 		Model:    model,
 		MDP:      m,
 		Index:    ix,
-		Universe: core.NewUniverse(states),
+		Universe: u,
 		Schema:   core.UnitTimeSchema(k),
+		trying:   u.Materialize(core.NewSet("T", sched.LiftPred(InT))),
+		critical: u.Materialize(core.NewSet("C", sched.LiftPred(InC))),
 	}, nil
 }
 
 // ProgressStatement returns T --time,p--> C over this topology.
 func (a *GeneralAnalysis) ProgressStatement(time, p prob.Rat) core.Statement[PState] {
 	return core.Statement[PState]{
-		From:   core.NewSet("T", sched.LiftPred(InT)),
-		To:     core.NewSet("C", sched.LiftPred(InC)),
+		From:   a.trying,
+		To:     a.critical,
 		Time:   time,
 		Prob:   p,
 		Schema: a.Schema,
@@ -72,34 +74,10 @@ func (a *GeneralAnalysis) CheckProgress(time, p prob.Rat) (core.CheckResult[PSta
 // ProgressCurve computes the exact worst-case probability of reaching C
 // from the worst T state for every horizon up to maxHorizon.
 func (a *GeneralAnalysis) ProgressCurve(maxHorizon int) ([]core.CurvePoint, error) {
-	return core.WorstCaseCurve(a.MDP, a.Index,
-		core.NewSet("T", sched.LiftPred(InT)),
-		core.NewSet("C", sched.LiftPred(InC)),
-		maxHorizon)
+	return core.WorstCaseCurve(a.MDP, a.Index, a.trying, a.critical, maxHorizon)
 }
 
 // WorstExpectedTime computes the worst-case expected time from T to C.
 func (a *GeneralAnalysis) WorstExpectedTime() (float64, PState, error) {
-	target := a.Index.Mask(sched.LiftPred(InC))
-	values, err := a.MDP.MaxExpectedTicks(target, mdp.VIConfig{})
-	if err != nil {
-		return 0, PState{}, err
-	}
-	worst := -1.0
-	var worstState PState
-	inT := sched.LiftPred(InT)
-	for i := 0; i < a.Index.Len(); i++ {
-		s := a.Index.State(i)
-		if !inT(s) {
-			continue
-		}
-		if values[i] > worst {
-			worst = values[i]
-			worstState = s
-		}
-	}
-	if worst < 0 {
-		return 0, PState{}, core.ErrEmptyFrom
-	}
-	return worst, worstState, nil
+	return worstExpectedTime(a.MDP, a.Index, a.trying, a.critical)
 }

@@ -25,6 +25,11 @@ type Analysis struct {
 	Index    *mdp.Index[PState]
 	Universe *core.Universe[PState]
 	Schema   core.SchemaInfo
+
+	// elected and fresh[k] (k = 1..N) are Elected and Fresh_k,
+	// materialised on Universe.
+	elected core.Set[PState]
+	fresh   []core.Set[PState]
 }
 
 // Opts configures on-the-fly exploration of the product space: the
@@ -55,29 +60,37 @@ func NewAnalysisOpts(n, k int, opts Opts) (*Analysis, error) {
 }
 
 func newAnalysis(n, k int, model *Model, m *mdp.MDP, ix *mdp.Index[PState]) *Analysis {
-	states := make([]PState, ix.Len())
-	for i := range states {
-		states[i] = ix.State(i)
-	}
-	return &Analysis{
+	u := core.IndexUniverse(ix, m.Workers)
+	a := &Analysis{
 		N:        n,
 		K:        k,
 		Model:    model,
 		MDP:      m,
 		Index:    ix,
-		Universe: core.NewUniverse(states),
+		Universe: u,
 		Schema:   core.UnitTimeSchema(k),
+		elected:  u.Materialize(core.NewSet("Elected", sched.LiftPred(State.HasLeader))),
+		fresh:    make([]core.Set[PState], n+1),
 	}
+	for j := 1; j <= n; j++ {
+		a.fresh[j] = u.Materialize(freshSet(j))
+	}
+	return a
 }
 
 // Elected is the target set: a leader exists.
-func (a *Analysis) Elected() core.Set[PState] {
-	return core.NewSet("Elected", sched.LiftPred(State.HasLeader))
-}
+func (a *Analysis) Elected() core.Set[PState] { return a.elected }
 
 // Fresh returns the set Fresh_k: exactly k processes active, no leader, no
 // coins on the table (a round boundary).
 func (a *Analysis) Fresh(k int) core.Set[PState] {
+	if k >= 1 && k <= a.N {
+		return a.fresh[k]
+	}
+	return freshSet(k)
+}
+
+func freshSet(k int) core.Set[PState] {
 	return core.NewSet(fmt.Sprintf("Fresh_%d", k), sched.LiftPred(func(s State) bool {
 		return s.IsFresh() && s.ActiveCount() == k
 	}))
@@ -195,8 +208,7 @@ func (a *Analysis) ExpectedTimeBound() (prob.Rat, error) {
 // digitized adversaries of the expected time to elect a leader from the
 // fresh start.
 func (a *Analysis) WorstExpectedTime() (float64, error) {
-	target := a.Index.Mask(sched.LiftPred(State.HasLeader))
-	values, err := a.MDP.MaxExpectedTicks(target, mdp.VIConfig{})
+	values, err := a.MDP.MaxExpectedTicks(a.elected.Mask(a.Index), mdp.VIConfig{})
 	if err != nil {
 		return 0, err
 	}

@@ -966,6 +966,18 @@ func (c *Coordinator) Finalize(ctx context.Context) (string, sim.RunReport, erro
 	return est, rep, err
 }
 
+// Linger blocks for one LeaseTTL on the coordinator's clock, or until ctx
+// is cancelled. A finished coordinator whose Handler keeps serving
+// meanwhile answers Done to lease and result RPCs, so a worker that first
+// asks after the last chunk landed is told the job is finished instead
+// of finding nobody listening.
+func (c *Coordinator) Linger(ctx context.Context) {
+	select {
+	case <-c.clock.After(c.opts.leaseTTL()):
+	case <-ctx.Done():
+	}
+}
+
 // Handler returns the coordinator's HTTP surface:
 //
 //	POST /v1/lease      LeaseRequest  -> LeaseResponse

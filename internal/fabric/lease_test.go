@@ -10,6 +10,8 @@ package fabric
 import (
 	"context"
 	"encoding/json"
+	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -177,5 +179,60 @@ func TestExpiredAdaptiveLeaseReassignedWhole(t *testing.T) {
 	}
 	if want := reference(t, spec); got != want {
 		t.Errorf("estimate after reassignment %q != single-process %q", got, want)
+	}
+}
+
+// TestLingerAnswersLateWorker: a worker whose first lease request
+// arrives after the last chunk landed and the estimate was finalized is
+// told Done by a lingering coordinator and exits cleanly; Linger returns
+// once one LeaseTTL has passed on the coordinator's clock.
+func TestLingerAnswersLateWorker(t *testing.T) {
+	ctx := context.Background()
+	spec := testJob(8 * 64)
+	runner, err := NewRunner(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc := fault.NewFakeClock(time.Unix(0, 0))
+	const ttl = 3 * time.Second
+	c, err := NewCoordinator(ctx, spec, CoordinatorOptions{Clock: fc, LeaseTTL: ttl, LeaseChunks: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainLeases(t, c, runner, fc, 10*time.Millisecond, nil, "early")
+	if _, _, err := c.Finalize(ctx); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(c.Handler())
+	defer ts.Close()
+
+	lingered := make(chan struct{})
+	go func() {
+		c.Linger(ctx)
+		close(lingered)
+	}()
+	for fc.Waiters() == 0 {
+		runtime.Gosched()
+	}
+
+	late := &Worker{Coordinator: ts.URL, ID: "late", Workers: 1, Clock: fc}
+	if err := late.Run(ctx); err != nil {
+		t.Fatalf("late worker: %v", err)
+	}
+	if st := c.Status(); st.LeasesGranted != 2 {
+		t.Errorf("late worker was granted work: %d leases in all, want 2", st.LeasesGranted)
+	}
+
+	fc.Advance(ttl - time.Millisecond)
+	select {
+	case <-lingered:
+		t.Fatal("Linger returned before one LeaseTTL")
+	default:
+	}
+	fc.Advance(time.Millisecond)
+	select {
+	case <-lingered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Linger did not return after one LeaseTTL")
 	}
 }

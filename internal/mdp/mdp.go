@@ -94,13 +94,20 @@ func (m *MDP) Validate() error {
 
 // Index maps the comparable states of a probabilistic automaton to dense
 // MDP indices and back. The reverse map is built lazily on the first ID
-// call: forward lookups (State, Where, Mask) are what the analyses use in
-// bulk, and explorer-built indexes over millions of states should not pay
-// for a map nobody queries.
+// call: forward lookups (State, Where, Mask, Bits) are what the analyses
+// use in bulk, and explorer-built indexes over millions of states should
+// not pay for a map nobody queries.
 type Index[S comparable] struct {
 	states []S
 	idOnce sync.Once
 	id     map[S]int
+}
+
+// NewIndex indexes a state list in order; the slice is copied. Explored
+// models get their index from Explore; this is for hand-built state
+// spaces.
+func NewIndex[S comparable](states []S) *Index[S] {
+	return &Index[S]{states: append([]S(nil), states...)}
 }
 
 // Len returns the number of indexed states.
@@ -139,6 +146,29 @@ func (ix *Index[S]) Mask(pred func(S) bool) []bool {
 		mask[i] = pred(s)
 	}
 	return mask
+}
+
+// Bits returns pred's membership bitset over the index: bit i&63 of word
+// i>>6 is set iff pred(State(i)), and the bits past Len are zero. pred is
+// evaluated once per state on up to workers goroutines (0 means one per
+// CPU), each owning a contiguous range of words, so the result is
+// identical for any worker count; pred must be safe for concurrent use.
+func (ix *Index[S]) Bits(pred func(S) bool, workers int) []uint64 {
+	n := len(ix.states)
+	words := make([]uint64, (n+63)/64)
+	parallelFor(resolveWorkers(workers), len(words), func(_, lo, hi int) {
+		for w := lo; w < hi; w++ {
+			base := w << 6
+			var word uint64
+			for i, s := range ix.states[base:min(base+64, n)] {
+				if pred(s) {
+					word |= 1 << i
+				}
+			}
+			words[w] = word
+		}
+	})
+	return words
 }
 
 // ErrBadDuration is returned when an automaton uses action durations other

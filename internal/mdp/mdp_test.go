@@ -337,6 +337,34 @@ func TestExplore(t *testing.T) {
 	}
 }
 
+// TestIndexBits: Bits packs Mask's answers 64 to a word, leaves the bits
+// past the last state zero, and yields the same words for any worker
+// count, including a fan-out finer than the word count.
+func TestIndexBits(t *testing.T) {
+	states := make([]int, 200)
+	for i := range states {
+		states[i] = 3 * i
+	}
+	ix := NewIndex(states)
+	pred := func(s int) bool { return s%7 < 3 }
+	want := ix.Mask(pred)
+	defer SetMinGrainForTest(1)()
+	for _, workers := range []int{1, 2, 3, 5} {
+		words := ix.Bits(pred, workers)
+		if len(words) != 4 {
+			t.Fatalf("workers=%d: %d words, want 4", workers, len(words))
+		}
+		for i, in := range want {
+			if got := words[i>>6]&(1<<(i&63)) != 0; got != in {
+				t.Fatalf("workers=%d: bit %d = %t, Mask says %t", workers, i, got, in)
+			}
+		}
+		if tail := words[3] >> (200 - 192); tail != 0 {
+			t.Errorf("workers=%d: bits past the last state set: %#x", workers, tail)
+		}
+	}
+}
+
 func TestExploreBadDuration(t *testing.T) {
 	auto := &pa.Automaton[int]{
 		Start: []int{0},
